@@ -10,6 +10,7 @@ Commands:
 * ``compare <summary.json>...``: aligned table of runs with accuracy
   deltas against the first (baseline) entry.
 * ``inspect <checkpoint>``: per-layer sparsity profile of a checkpoint.
+  Exit 2 if the checkpoint or its sidecar is missing or corrupt.
 
 ``SPARSEKIT_OUTPUT_DIR`` overrides the config's output directory.
 """
@@ -191,7 +192,7 @@ def compare_runs(paths) -> int:
 def inspect_checkpoint(path) -> int:
     try:
         model, _, sidecar = load_checkpoint(path)
-    except (OSError, ConfigError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, ConfigError, FormatError, json.JSONDecodeError, KeyError) as e:
         print(f"cannot read checkpoint {path}: {e}", file=sys.stderr)
         return 2
     print(f"{'layer':<6}  {'shape':<16}  {'weights':>8}  {'zeros':>6}  {'sparsity':>8}")

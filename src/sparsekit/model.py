@@ -5,6 +5,14 @@ flatten -> dense, all in float64 numpy. Every weighted layer carries a
 weight tensor, a bias vector (never pruned), a prune mask, and momentum
 buffers. Forward caches what backward needs; backward produces
 cross-entropy gradients with pruned positions already zeroed.
+
+Convolutions run as BLAS matrix products. Forward and the weight
+gradient are im2col GEMMs: a ``tensordot`` over the strided window view
+of the padded input contracts each output position's (C, R, S) patch.
+The input gradient is col2im: one GEMM maps the output gradient to
+per-position (C, R, S) columns, whose R*S shifted slices are summed into
+a padded buffer and cropped. ``backward`` computes the input gradient of
+the first layer only when ``return_input_grad`` asks for it.
 """
 
 from __future__ import annotations
@@ -39,19 +47,35 @@ class Conv2d:
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         windows = sliding_window_view(xp, (R, S), axis=(2, 3))
         self._windows = windows
-        out = np.einsum("bchwrs,kcrs->bkhw", windows, self.weight)
-        return out + self.bias[None, :, None, None]
+        # im2col GEMM: (B*H*W, C*R*S) @ (C*R*S, K), kept channels-last in memory
+        out = np.tensordot(windows, self.weight, axes=([1, 4, 5], [1, 2, 3]))
+        out += self.bias
+        return out.transpose(0, 3, 1, 2)
+
+    def backward_params(self, dout: np.ndarray) -> None:
+        """Set ``grad_w`` (masked) and ``grad_b`` from the output gradient.
+
+        Drops the cached input windows, so the input is freed before the
+        input gradient's buffers are allocated; forward again before the
+        next backward.
+        """
+        windows, self._windows = self._windows, None
+        self.grad_w = np.tensordot(dout, windows, axes=([0, 2, 3], [0, 2, 3])) * self.mask
+        self.grad_b = dout.sum(axis=(0, 2, 3))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        self.backward_params(dout)
         K, C, R, S = self.weight.shape
-        windows = self._windows
-        self.grad_w = np.einsum("bchwrs,bkhw->kcrs", windows, dout) * self.mask
-        self.grad_b = dout.sum(axis=(0, 2, 3))
-        q = R - 1 - self.pad
-        dp = np.pad(dout, ((0, 0), (0, 0), (q, q), (q, q))) if q else dout
-        dwin = sliding_window_view(dp, (R, S), axis=(2, 3))
-        wrot = self.weight[:, :, ::-1, ::-1]
-        return np.einsum("bkhwrs,kcrs->bchw", dwin, wrot)
+        B, _, H, W = dout.shape
+        # col2im: each output position's (C, R, S) column lands on the R*S
+        # input pixels it read; summing shifted slices avoids unfolding dout.
+        cols = np.tensordot(dout, self.weight, axes=([1], [0]))  # (B, H, W, C, R, S)
+        dxp = np.zeros((B, H + R - 1, W + S - 1, C))
+        for r in range(R):
+            for s in range(S):
+                dxp[:, r:r + H, s:s + W] += cols[..., r, s]
+        p = self.pad
+        return dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p].transpose(0, 3, 1, 2)
 
 
 class ReLU:
@@ -196,12 +220,15 @@ def backward(model: ToyModel, batch: np.ndarray, labels: np.ndarray,
     d = softmax(model._logits)
     d[np.arange(B), labels] -= 1.0
     d /= B
-    for layer in reversed(model.layers):
+    first, *rest = model.layers
+    for layer in reversed(rest):
         d = layer.backward(d)
-    grads = {name: (layer.grad_w, layer.grad_b) for name, layer in model.prunable()}
     if return_input_grad:
-        return grads, d
-    return grads
+        d = first.backward(d)
+    else:
+        first.backward_params(d)  # training never reads the input gradient
+    grads = {name: (layer.grad_w, layer.grad_b) for name, layer in model.prunable()}
+    return (grads, d) if return_input_grad else grads
 
 
 def sgd_step(model: ToyModel, grads: dict, lr: float,

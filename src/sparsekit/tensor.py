@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import BinaryIO, Sequence
 
@@ -151,14 +153,21 @@ def read_container(fp: BinaryIO) -> list[np.ndarray]:
         dims = struct.unpack(f"<{rank}I", raw)
         if any(d == 0 for d in dims):
             raise FormatError(f"zero-length dim in {dims}")
-        n = int(np.prod(dims))
+        n = math.prod(dims)
+        if 8 * n > _bytes_left(fp):
+            raise FormatError(f"truncated tensor payload for dims {dims}")
         payload = fp.read(8 * n)
-        if len(payload) != 8 * n:
-            raise FormatError("truncated tensor payload")
         out.append(np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims))
     if fp.read(1):
         raise FormatError("trailing bytes after last tensor")
     return out
+
+
+def _bytes_left(fp: BinaryIO) -> int:
+    pos = fp.tell()
+    end = fp.seek(0, io.SEEK_END)
+    fp.seek(pos)
+    return end - pos
 
 
 def save_tensors(path, tensors: Sequence[np.ndarray]) -> None:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sparsekit.cli import main
-from sparsekit.trainer import read_metrics_csv
+from sparsekit.trainer import (build_model, config_from_dict, read_metrics_csv,
+                               save_checkpoint)
 
 
 def base_config(outdir, s_f=0.6, epochs=8, attack=False, emit=False):
@@ -173,3 +174,36 @@ def test_inspect_prints_per_layer_profile(tmp_path, capsys):
 
 def test_inspect_missing_checkpoint_exits_2(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "nope")]) == 2
+
+
+def _truncate(ckpt, sidecar):
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
+
+
+def _bad_magic(ckpt, sidecar):
+    ckpt.write_bytes(b"NOPE" + ckpt.read_bytes()[4:])
+
+
+def _reordered_tensors(ckpt, sidecar):
+    meta = json.loads(sidecar.read_text())
+    meta["tensor_order"].reverse()
+    sidecar.write_text(json.dumps(meta))
+
+
+def _no_config(ckpt, sidecar):
+    meta = json.loads(sidecar.read_text())
+    del meta["config"]
+    sidecar.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _bad_magic, _reordered_tensors, _no_config],
+                         ids=["truncated", "bad_magic", "tensor_order_mismatch", "no_config"])
+def test_inspect_corrupt_checkpoint_exits_2(tmp_path, capsys, corrupt):
+    config = config_from_dict(base_config(tmp_path / "out")["training"])
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, build_model(config), config, epoch=0)
+    corrupt(ckpt, tmp_path / "ckpt.json")
+    assert main(["inspect", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read checkpoint {ckpt}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -85,6 +85,45 @@ def test_backward_matches_finite_differences_every_layer():
                 assert rel < 1e-4, f"{name} {idx}: fd={fd} analytic={an}"
 
 
+def multi_channel_case(seed=14):
+    model = ToyModel(channels=3, image_size=4, n_classes=3,
+                     conv1_out=4, conv2_out=5, pool=2, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for _, layer in model.prunable():
+        layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
+    x = rng.standard_normal((4, 3, 4, 4)) * 0.5
+    return model, x, np.array([0, 1, 2, 0])
+
+
+def assert_matches_finite_differences(model, x, y, arr, grad, what):
+    for idx in np.ndindex(arr.shape):
+        fd = finite_difference(lambda: _model_loss(model, x, y), arr, idx)
+        an = grad[idx]
+        rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
+        assert rel < 1e-4, f"{what} {idx}: fd={fd} analytic={an}"
+
+
+def test_multi_channel_forward_matches_reference_loops():
+    model, x, _ = multi_channel_case()
+    np.testing.assert_allclose(forward(model, x), forward_oracle(model, x), atol=1e-10)
+
+
+def test_multi_channel_conv_weight_gradients_match_finite_differences():
+    model, x, y = multi_channel_case()
+    forward(model, x)
+    grads = backward(model, x, y)
+    for name in ("conv1", "conv2"):
+        layer = getattr(model, name)
+        assert_matches_finite_differences(model, x, y, layer.weight, grads[name][0], name)
+
+
+def test_multi_channel_input_gradient_matches_finite_differences():
+    model, x, y = multi_channel_case()
+    forward(model, x)
+    _, dx = backward(model, x, y, return_input_grad=True)
+    assert_matches_finite_differences(model, x, y, x, dx, "input")
+
+
 def test_backward_zeroes_gradients_at_pruned_positions():
     model = small_model(seed=5)
     rng = np.random.default_rng(6)

@@ -1,4 +1,6 @@
 import io
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -156,3 +158,16 @@ def test_container_rejects_trailing_bytes():
     write_container(buf, [np.ones(3)])
     with pytest.raises(FormatError):
         read_container(io.BytesIO(buf.getvalue() + b"\x00"))
+
+
+@pytest.mark.parametrize("dims", [(2**30, 2**20, 8), (2**16,) * 4],
+                         ids=["oversized", "int64_wrap"])
+def test_container_rejects_dims_beyond_the_file_before_reading(tmp_path, dims):
+    # (2**16,)*4 has 2**64 elements, which int64 arithmetic wraps to 0
+    path = tmp_path / "huge"
+    path.write_bytes(b"CAMP" + struct.pack("<III", 1, 1, len(dims))
+                     + struct.pack(f"<{len(dims)}I", *dims) + b"\x00" * 64)
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        load_tensors(path)
+    assert time.perf_counter() - start < 1.0
