@@ -59,17 +59,13 @@ def fgsm_perturb(
     return np.clip(x + epsilon * np.sign(dx), lo, hi)
 
 
-def robustness_sweep(
-    model: ToyModel, val: Split, spec: AttackSpec, batch_size: int = 256
-) -> list[tuple[float, float]]:
+def robustness_sweep(model: ToyModel, val: Split, spec: AttackSpec) -> list[tuple[float, float]]:
     """Top-1 accuracy on the attacked validation split at each epsilon."""
     results = []
     n = len(val.y)
     for eps in spec.epsilons:
         correct = 0
-        for start in range(0, n, batch_size):
-            xb = val.x[start : start + batch_size]
-            yb = val.y[start : start + batch_size]
+        for xb, yb in val.batches():
             adv = fgsm_perturb(model, xb, yb, eps, spec.clamp_range)
             logits = forward(model, adv)
             correct += int((logits.argmax(axis=1) == yb).sum())

@@ -28,12 +28,12 @@ import numpy as np
 
 from .adversarial import AttackSpec, robustness_sweep, write_robustness_csv
 from .compressed import (
+    ck_to_bytes,
     compress_ck,
     compress_window,
     model_mac_entries,
     multiply_count,
-    save_ck,
-    save_window,
+    window_to_bytes,
 )
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .trainer import (
@@ -44,9 +44,9 @@ from .trainer import (
     make_synthetic_dataset,
     network_sparsity,
     save_checkpoint,
+    take_fields,
     train,
     write_metrics_csv,
-    _take,
 )
 
 OUTPUT_DIR_ENV = "SPARSEKIT_OUTPUT_DIR"
@@ -76,28 +76,11 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-    fields = _take(
-        raw,
-        "experiment",
-        required=("name", "training", "outputs"),
-        optional=("attack", "emit_compressed"),
-    )
-    training = config_from_dict(fields["training"])
-    attack = None
+    fields = take_fields(raw, ExperimentConfig, "experiment")
+    fields["training"] = config_from_dict(fields["training"])
     if fields.get("attack") is not None:
-        a = _take(fields["attack"], "attack", required=(), optional=("epsilons", "clamp_range"))
-        if "epsilons" in a:
-            a["epsilons"] = tuple(a["epsilons"])
-        if "clamp_range" in a:
-            a["clamp_range"] = tuple(a["clamp_range"])
-        attack = AttackSpec(**a)
-    return ExperimentConfig(
-        name=fields["name"],
-        training=training,
-        outputs=fields["outputs"],
-        attack=attack,
-        emit_compressed=bool(fields.get("emit_compressed", False)),
-    )
+        fields["attack"] = AttackSpec(**take_fields(fields["attack"], AttackSpec, "attack"))
+    return ExperimentConfig(**fields)
 
 
 def _emit_compressed_layers(model, config: TrainingConfig, outdir: Path) -> list[str]:
@@ -106,14 +89,14 @@ def _emit_compressed_layers(model, config: TrainingConfig, outdir: Path) -> list
         try:
             packed = compress_ck(layer.weight, layer.mask)
             path = outdir / f"{name}.cksp"
-            save_ck(path, packed)
+            path.write_bytes(ck_to_bytes(packed))
         except FormatError:
             cap = config.schedule.max_non_zero
             if cap is None:
                 K, C, R, S = layer.mask.shape
                 cap = int(layer.mask.reshape(K * C, R * S).sum(axis=1).max())
             path = outdir / f"{name}.wnsp"
-            save_window(path, compress_window(layer.weight, layer.mask, cap))
+            path.write_bytes(window_to_bytes(compress_window(layer.weight, layer.mask, cap)))
         written.append(path.name)
     return written
 
@@ -121,6 +104,7 @@ def _emit_compressed_layers(model, config: TrainingConfig, outdir: Path) -> list
 def run_experiment(config_path) -> int:
     try:
         exp = load_experiment_config(config_path)
+        model = build_model(exp.training)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -128,7 +112,6 @@ def run_experiment(config_path) -> int:
     outdir = Path(os.environ.get(OUTPUT_DIR_ENV) or exp.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    model = build_model(exp.training)
     try:
         model, rows = train(model, exp.training)
     except TrainingDivergedError as e:
@@ -136,13 +119,7 @@ def run_experiment(config_path) -> int:
         return 3
 
     write_metrics_csv(outdir / "metrics.csv", rows)
-    save_checkpoint(
-        outdir / "final_checkpoint",
-        model,
-        exp.training,
-        rng_state=getattr(model, "final_rng_state", None),
-        epoch=exp.training.epochs,
-    )
+    save_checkpoint(outdir / "final_checkpoint", model, exp.training, epoch=exp.training.epochs)
 
     if exp.attack is not None:
         _, val = make_synthetic_dataset(exp.training.dataset)

@@ -247,26 +247,6 @@ def window_from_bytes(buf: bytes) -> WindowSparseLayer:
     return layer
 
 
-def save_ck(path, layer: CKSparseLayer) -> None:
-    with open(path, "wb") as f:
-        f.write(ck_to_bytes(layer))
-
-
-def load_ck(path) -> CKSparseLayer:
-    with open(path, "rb") as f:
-        return ck_from_bytes(f.read())
-
-
-def save_window(path, layer: WindowSparseLayer) -> None:
-    with open(path, "wb") as f:
-        f.write(window_to_bytes(layer))
-
-
-def load_window(path) -> WindowSparseLayer:
-    with open(path, "rb") as f:
-        return window_from_bytes(f.read())
-
-
 # ---------------------------------------------------------------------------
 # Multiply accounting
 # ---------------------------------------------------------------------------

@@ -21,19 +21,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeMismatchError
-from .tensor import ones_mask
 
 
 class Conv2d:
     """Stride-1 convolution; 'same' padding for odd kernels (pad = R // 2)."""
 
-    kind = "conv"
-
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
         K, C, R, S = weight.shape
         self.weight = weight.astype(np.float64)
         self.bias = bias.astype(np.float64)
-        self.mask = ones_mask(self.weight)
+        self.mask = np.ones_like(self.weight)
         self.vel_w = np.zeros_like(self.weight)
         self.vel_b = np.zeros_like(self.bias)
         self.pad = R // 2
@@ -79,8 +76,6 @@ class Conv2d:
 
 
 class ReLU:
-    kind = "relu"
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._active = x > 0
         return np.where(self._active, x, 0.0)
@@ -92,8 +87,6 @@ class ReLU:
 class AvgPool2d:
     """Non-overlapping pooling: window p, stride p; spatial dims must divide."""
 
-    kind = "pool"
-
     def __init__(self, pool: int):
         self.pool = pool
 
@@ -102,19 +95,15 @@ class AvgPool2d:
         p = self.pool
         if H % p or W % p:
             raise ShapeMismatchError(f"pool {p} does not divide spatial dims ({H}, {W})")
-        self._in_shape = x.shape
         return x.reshape(B, K, H // p, p, W // p, p).mean(axis=(3, 5))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        B, K, H, W = self._in_shape
         p = self.pool
         g = dout / (p * p)
         return np.repeat(np.repeat(g, p, axis=2), p, axis=3)
 
 
 class Flatten:
-    kind = "flatten"
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -124,12 +113,10 @@ class Flatten:
 
 
 class Dense:
-    kind = "fc"
-
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
         self.weight = weight.astype(np.float64)
         self.bias = bias.astype(np.float64)
-        self.mask = ones_mask(self.weight)
+        self.mask = np.ones_like(self.weight)
         self.vel_w = np.zeros_like(self.weight)
         self.vel_b = np.zeros_like(self.bias)
 

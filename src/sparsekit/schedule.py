@@ -3,10 +3,11 @@
 The target sparsity rises from 0 to ``s_f`` over a pruning era of ``l_p``
 epochs starting at epoch ``e_i``:
 
-    threshold(e) = s_f - (s_i + s_f) * (1 - (e - e_i) / l_p) ** r
+    threshold(e) = s_f - s_f * (1 - (e - e_i) / l_p) ** r
 
-with ``s_i`` pinned to 0, so the threshold is exactly 0 at the era start
-and exactly ``s_f`` at the era end. Before the era training is dense;
+This is the gradual-pruning ramp of Zhu & Gupta (2017) with the initial
+sparsity pinned to 0, so the threshold is exactly 0 at the era start and
+exactly ``s_f`` at the era end. Before the era training is dense;
 after it the mask is frozen and no new pruning occurs.
 """
 
@@ -46,17 +47,14 @@ class PruningSchedule:
     e_i: int
     l_p: int
     granularity: Granularity
-    s_i: float = 0.0
     r: float = 3.0
     max_non_zero: int | None = None
     window_fraction: float = 0.8
     fc_block: int = 2
 
     def __post_init__(self):
-        if self.s_i != 0.0:
-            raise ConfigError("initial sparsity s_i must be 0")
-        if not 0.0 <= self.s_i <= self.s_f <= 1.0:
-            raise ConfigError(f"need 0 <= s_i <= s_f <= 1, got s_i={self.s_i}, s_f={self.s_f}")
+        if not 0.0 <= self.s_f <= 1.0:
+            raise ConfigError(f"s_f must be in [0, 1], got {self.s_f}")
         if self.e_i < 0:
             raise ConfigError(f"e_i must be >= 0, got {self.e_i}")
         if self.l_p < 1:
@@ -85,7 +83,7 @@ def threshold_at(sched: PruningSchedule, e_c: int) -> float:
     if e_c > sched.e_i + sched.l_p:
         return sched.s_f
     frac = (e_c - sched.e_i) / sched.l_p
-    t = sched.s_f - (sched.s_i + sched.s_f) * (1.0 - frac) ** sched.r
+    t = sched.s_f - sched.s_f * (1.0 - frac) ** sched.r
     return min(max(t, 0.0), sched.s_f)
 
 

@@ -26,25 +26,20 @@ CONTAINER_MAGIC = b"CAMP"
 CONTAINER_VERSION = 1
 
 
-def as_conv_weight(values, dims=None) -> np.ndarray:
+def as_conv_weight(values) -> np.ndarray:
     """Coerce to a valid (K, C, R, S) conv weight array.
 
-    ``dims`` reshapes flat input. Rejects non-4-D shapes, zero-length
-    axes, and non-finite entries.
+    Rejects non-4-D shapes, zero-length axes, and non-finite entries.
     """
     w = np.asarray(values, dtype=np.float64)
-    if dims is not None:
-        w = w.reshape(dims)
     if w.ndim != 4:
         raise ShapeMismatchError(f"conv weight must be 4-D (K, C, R, S), got shape {w.shape}")
     return _checked(w)
 
 
-def as_fc_weight(values, dims=None) -> np.ndarray:
+def as_fc_weight(values) -> np.ndarray:
     """Coerce to a valid (rows, cols) fully connected weight array."""
     w = np.asarray(values, dtype=np.float64)
-    if dims is not None:
-        w = w.reshape(dims)
     if w.ndim != 2:
         raise ShapeMismatchError(f"fc weight must be 2-D (rows, cols), got shape {w.shape}")
     return _checked(w)
@@ -66,10 +61,6 @@ def check_mask(mask: np.ndarray, like: np.ndarray) -> np.ndarray:
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ValueError("mask entries must be exactly 0 or 1")
     return m
-
-
-def ones_mask(like: np.ndarray) -> np.ndarray:
-    return np.ones_like(like, dtype=np.float64)
 
 
 def kernel_max(w: np.ndarray) -> np.ndarray:

@@ -2,21 +2,27 @@
 era, masked momentum SGD, and a frozen mask afterwards.
 
 Also provides the deterministic synthetic dataset the toy network trains
-on, the per-epoch metrics log, and checkpoint save/load (tensor container
-plus a JSON sidecar with the config and RNG state).
+on, the per-epoch metrics log, checkpoint save/load (tensor container
+plus a JSON sidecar with the config, the epoch and the tensor order), and
+the JSON schema of the config dataclasses.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import sys
+import types
+import typing
 import warnings
 from dataclasses import dataclass
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, FormatError, TrainingDivergedError
 from .masking import (
     ck_mask,
     combined_mask,
@@ -32,6 +38,7 @@ from .schedule import Granularity, Phase, PruningSchedule, phase_at, threshold_a
 from .tensor import load_tensors, measured_sparsity, save_tensors
 
 METRICS_HEADER = ["epoch", "top1", "loss", "sparsity", "lr", "phase"]
+EVAL_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,8 @@ class SyntheticSpec:
             raise ConfigError("dataset counts must all be >= 1")
         if self.image_size < 2:
             raise ConfigError(f"image_size must be >= 2, got {self.image_size}")
+        if self.seed < 0:
+            raise ConfigError(f"dataset seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,11 @@ class TrainingConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if min(self.conv1_out, self.conv2_out, self.pool) < 1:
+            raise ConfigError("conv1_out, conv2_out and pool must be >= 1, got "
+                              f"{self.conv1_out}, {self.conv2_out} and {self.pool}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,12 @@ class MetricsRow:
 class Split(NamedTuple):
     x: np.ndarray
     y: np.ndarray
+
+    def batches(self):
+        """(x, y) slices in order, ``EVAL_BATCH_SIZE`` samples at a time."""
+        for start in range(0, len(self.y), EVAL_BATCH_SIZE):
+            stop = start + EVAL_BATCH_SIZE
+            yield self.x[start:stop], self.y[start:stop]
 
 
 def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[Split, Split]:
@@ -183,14 +203,12 @@ def _learning_rate(config: TrainingConfig, epoch: int) -> float:
     return config.lr0 * config.lr_drop_factor**drops
 
 
-def evaluate(model: ToyModel, split: Split, batch_size: int = 256) -> tuple[float, float]:
+def evaluate(model: ToyModel, split: Split) -> tuple[float, float]:
     """(top-1 accuracy, mean loss) over a split, masked weights as-is."""
     correct = 0
     loss_sum = 0.0
     n = len(split.y)
-    for start in range(0, n, batch_size):
-        xb = split.x[start : start + batch_size]
-        yb = split.y[start : start + batch_size]
+    for xb, yb in split.batches():
         logits = forward(model, xb)
         correct += int((logits.argmax(axis=1) == yb).sum())
         loss_sum += cross_entropy(logits, yb) * len(yb)
@@ -255,7 +273,6 @@ def train(model: ToyModel, config: TrainingConfig,
         if phase is Phase.PRUNING and epoch == sched.e_i + sched.l_p - 1:
             regenerate_masks(model, sched, sched.s_f)
 
-    model.final_rng_state = rng.bit_generator.state
     return model, rows
 
 
@@ -296,78 +313,72 @@ def read_metrics_csv(path) -> list[MetricsRow]:
 # ---------------------------------------------------------------------------
 
 
-def schedule_to_dict(s: PruningSchedule) -> dict:
-    return {
-        "s_i": s.s_i,
-        "s_f": s.s_f,
-        "e_i": s.e_i,
-        "l_p": s.l_p,
-        "r": s.r,
-        "granularity": s.granularity.value,
-        "max_non_zero": s.max_non_zero,
-        "window_fraction": s.window_fraction,
-        "fc_block": s.fc_block,
-    }
+def take_fields(d, cls, where: str) -> dict:
+    """Check a JSON object against dataclass ``cls`` and return its fields.
+
+    Fields with a default are optional, the rest required. Each value must
+    match the field's annotation: a ``bool`` counts as neither ``int`` nor
+    ``float``, a number for a ``float`` must be finite and within the float
+    range (ints included), and a nested dataclass field only has to be an
+    object here, which the caller then parses.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} section must be an object, got {type(d).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = set(d) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+    missing = [f.name for f in fields if f.name not in d
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing field(s) in {where}: {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    for f in fields:
+        if f.name in d and not _matches(d[f.name], hints[f.name]):
+            raise ConfigError(f"{where} field {f.name} must be {f.type}, got {d[f.name]!r}")
+    return dict(d)
 
 
-def schedule_from_dict(d: dict) -> PruningSchedule:
-    return PruningSchedule(**_take(d, "schedule", required=("s_f", "e_i", "l_p", "granularity"),
-                                   optional=("s_i", "r", "max_non_zero", "window_fraction", "fc_block")))
+def _matches(value, tp) -> bool:
+    args = typing.get_args(tp)
+    origin = typing.get_origin(tp)
+    if origin is types.UnionType:
+        return any(_matches(value, a) for a in args)
+    if origin in (list, tuple):
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        return (isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args))
+                and all(_matches(v, args[0]) for v in value))
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if dataclasses.is_dataclass(tp):
+        return isinstance(value, dict)
+    if issubclass(tp, Enum):
+        return value in [m.value for m in tp]
+    return isinstance(value, tp)
+
+
+def schedule_from_dict(d) -> PruningSchedule:
+    if isinstance(d, dict) and "s_i" in d:  # the initial sparsity, a field once, always 0
+        d = dict(d)
+        initial = d.pop("s_i")
+        if isinstance(initial, bool) or initial != 0:
+            raise ConfigError(f"schedule field s_i is pinned to 0, got {initial!r}")
+    return PruningSchedule(**take_fields(d, PruningSchedule, "schedule"))
 
 
 def config_to_dict(c: TrainingConfig) -> dict:
-    return {
-        "epochs": c.epochs,
-        "batch_size": c.batch_size,
-        "lr0": c.lr0,
-        "lr_drop_epochs": list(c.lr_drop_epochs),
-        "lr_drop_factor": c.lr_drop_factor,
-        "momentum": c.momentum,
-        "weight_decay": c.weight_decay,
-        "seed": c.seed,
-        "conv1_out": c.conv1_out,
-        "conv2_out": c.conv2_out,
-        "pool": c.pool,
-        "schedule": schedule_to_dict(c.schedule),
-        "dataset": {
-            "n_train": c.dataset.n_train,
-            "n_val": c.dataset.n_val,
-            "image_size": c.dataset.image_size,
-            "channels": c.dataset.channels,
-            "n_classes": c.dataset.n_classes,
-            "seed": c.dataset.seed,
-        },
-    }
+    d = dataclasses.asdict(c)
+    d["schedule"]["granularity"] = c.schedule.granularity.value
+    return d
 
 
-def config_from_dict(d: dict) -> TrainingConfig:
-    fields = _take(
-        d,
-        "training",
-        required=("epochs", "batch_size", "lr0", "lr_drop_epochs", "seed", "schedule", "dataset"),
-        optional=("lr_drop_factor", "momentum", "weight_decay", "conv1_out", "conv2_out", "pool"),
-    )
+def config_from_dict(d) -> TrainingConfig:
+    fields = take_fields(d, TrainingConfig, "training")
     fields["schedule"] = schedule_from_dict(fields["schedule"])
-    ds = _take(
-        fields["dataset"],
-        "dataset",
-        required=("n_train", "n_val", "image_size", "channels", "n_classes", "seed"),
-        optional=(),
-    )
-    fields["dataset"] = SyntheticSpec(**ds)
+    fields["dataset"] = SyntheticSpec(**take_fields(fields["dataset"], SyntheticSpec, "dataset"))
     return TrainingConfig(**fields)
-
-
-def _take(d: dict, where: str, required: tuple, optional: tuple) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} section must be an object, got {type(d).__name__}")
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"missing field(s) in {where}: {', '.join(missing)}")
-    return dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +389,12 @@ _PER_LAYER = ("weight", "bias", "mask", "vel_w", "vel_b")
 
 
 def save_checkpoint(path, model: ToyModel, config: TrainingConfig,
-                    rng_state: dict | None = None, epoch: int | None = None) -> None:
+                    epoch: int | None = None) -> None:
     """Write weights, masks, and momentum buffers plus a ``.json`` sidecar.
 
     Tensor order is fixed: for each prunable layer in model order, the
-    tensors named in the sidecar's ``tensor_order``. The sidecar carries
-    the full config and the training RNG state for resumption.
+    tensors named in the sidecar's ``tensor_order``. The sidecar also
+    carries the full config and the epoch.
     """
     arrays = []
     order = []
@@ -395,7 +406,6 @@ def save_checkpoint(path, model: ToyModel, config: TrainingConfig,
     sidecar = {
         "config": config_to_dict(config),
         "epoch": epoch,
-        "rng_state": rng_state,
         "tensor_order": order,
     }
     with open(str(path) + ".json", "w") as f:
@@ -404,6 +414,12 @@ def save_checkpoint(path, model: ToyModel, config: TrainingConfig,
 
 
 def load_checkpoint(path) -> tuple[ToyModel, TrainingConfig, dict]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Every tensor must be finite and every mask binary, with zero weight
+    and zero momentum wherever the mask is 0, as training leaves them.
+    Raises ``FormatError`` naming the first tensor that breaks this.
+    """
     with open(str(path) + ".json") as f:
         sidecar = json.load(f)
     config = config_from_dict(sidecar["config"])
@@ -421,4 +437,17 @@ def load_checkpoint(path) -> tuple[ToyModel, TrainingConfig, dict]:
                                   f"{arrays[i].shape}, expected {current.shape}")
             setattr(layer, attr, arrays[i])
             i += 1
+        _check_trained_state(name, layer)
     return model, config, sidecar
+
+
+def _check_trained_state(name: str, layer) -> None:
+    for attr in _PER_LAYER:
+        if not np.isfinite(getattr(layer, attr)).all():
+            raise FormatError(f"checkpoint tensor {name}.{attr} holds a non-finite value")
+    pruned = layer.mask == 0.0
+    if not (pruned | (layer.mask == 1.0)).all():
+        raise FormatError(f"checkpoint tensor {name}.mask holds a value other than 0 and 1")
+    for attr in ("weight", "vel_w"):
+        if getattr(layer, attr)[pruned].any():
+            raise FormatError(f"checkpoint tensor {name}.{attr} is nonzero where {name}.mask is 0")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sparsekit.cli import main
-from sparsekit.trainer import (build_model, config_from_dict, read_metrics_csv,
-                               save_checkpoint)
+from sparsekit.tensor import load_tensors, save_tensors
+from sparsekit.trainer import (build_model, config_from_dict, load_checkpoint,
+                               read_metrics_csv, save_checkpoint)
 
 
 def base_config(outdir, s_f=0.6, epochs=8, attack=False, emit=False):
@@ -125,6 +126,45 @@ def test_invalid_schedule_value_exits_2(tmp_path, capsys):
     assert "s_f" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits, field", [
+    ({"training.epochs": "3"}, "epochs"),
+    ({"training.epochs": 2.5}, "epochs"),
+    ({"training.epochs": True}, "epochs"),
+    ({"training.lr0": True}, "lr0"),
+    ({"training.lr0": float("inf")}, "lr0"),
+    ({"training.schedule.r": float("nan")}, "r"),
+    ({"training.weight_decay": 10**400}, "weight_decay"),
+    ({"training.schedule.s_f": "0.5"}, "s_f"),
+    ({"training.schedule.max_non_zero": "3"}, "max_non_zero"),
+    ({"training.dataset.n_train": "32"}, "n_train"),
+    ({"training.lr_drop_epochs": None}, "lr_drop_epochs"),
+    ({"training.schedule.granularity": "foo"}, "granularity"),
+    ({"training.dataset.image_size": 4.5}, "image_size"),
+    ({"attack.epsilons": "abc"}, "epsilons"),
+    ({"training.pool": 4, "training.dataset.image_size": 6}, "pool"),
+    ({"training.pool": 0}, "pool"),
+    ({"training.conv1_out": 0}, "conv1_out"),
+    ({"training.seed": -1}, "seed"),
+    ({"training.dataset.seed": -1}, "seed"),
+    ({"emit_compressed": "no"}, "emit_compressed"),
+    ({"training.schedule.s_i": 0.1}, "s_i"),
+], ids=lambda v: "-".join(f"{k}={v[k]!r:.12}" for k in v) if isinstance(v, dict) else None)
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, edits, field):
+    outdir = tmp_path / "out"
+    cfg = base_config(outdir, s_f=0.0, epochs=1, attack=True)
+    for path, value in edits.items():
+        *parents, key = path.split(".")
+        section = cfg
+        for name in parents:
+            section = section[name]
+        section[key] = value
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert len(err.splitlines()) == 1
+    assert not outdir.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_3(tmp_path, capsys):
     cfg = base_config(tmp_path / "out", s_f=0.0, epochs=2)
@@ -196,14 +236,49 @@ def _no_config(ckpt, sidecar):
     sidecar.write_text(json.dumps(meta))
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _bad_magic, _reordered_tensors, _no_config],
-                         ids=["truncated", "bad_magic", "tensor_order_mismatch", "no_config"])
+def _set_first_entry(tensor, value, named=None):
+    """Corrupter that overwrites one tensor's first entry; returns the tensor
+    the diagnostic must name."""
+    def corrupt(ckpt, sidecar):
+        order = json.loads(sidecar.read_text())["tensor_order"]
+        arrays = load_tensors(ckpt)
+        arrays[order.index(tensor)].flat[0] = value
+        save_tensors(ckpt, arrays)
+        return named or tensor
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_truncate, _bad_magic, _reordered_tensors, _no_config,
+     _set_first_entry("conv1.weight", np.nan),
+     _set_first_entry("fc.mask", 0.5),
+     _set_first_entry("conv2.mask", 0.0, named="conv2.weight"),
+     _set_first_entry("fc.vel_w", np.inf)],
+    ids=["truncated", "bad_magic", "tensor_order_mismatch", "no_config",
+         "nan_weight", "fractional_mask", "weight_under_zero_mask", "inf_velocity"])
 def test_inspect_corrupt_checkpoint_exits_2(tmp_path, capsys, corrupt):
     config = config_from_dict(base_config(tmp_path / "out")["training"])
     ckpt = tmp_path / "ckpt"
     save_checkpoint(ckpt, build_model(config), config, epoch=0)
-    corrupt(ckpt, tmp_path / "ckpt.json")
+    named = corrupt(ckpt, tmp_path / "ckpt.json")
     assert main(["inspect", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cannot read checkpoint {ckpt}: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert named is None or named in err
+
+
+def test_inspect_reads_sidecar_in_old_layout(tmp_path, capsys):
+    """Sidecars once also held ``schedule.s_i`` (always 0) and the RNG state."""
+    config = config_from_dict(base_config(tmp_path / "out")["training"])
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, build_model(config), config, epoch=8)
+    sidecar = tmp_path / "ckpt.json"
+    meta = json.loads(sidecar.read_text())
+    meta["config"]["schedule"]["s_i"] = 0
+    meta["rng_state"] = np.random.default_rng(7).bit_generator.state
+    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    assert load_checkpoint(ckpt)[1] == config
+    assert main(["inspect", str(ckpt)]) == 0
+    assert "(epoch 8)" in capsys.readouterr().out

@@ -85,8 +85,6 @@ def test_validation_rejects_bad_fields():
     with pytest.raises(ConfigError):
         sched(r=0.5)
     with pytest.raises(ConfigError):
-        sched(s_i=0.1)
-    with pytest.raises(ConfigError):
         sched(window_fraction=1.5)
     with pytest.raises(ConfigError):
         sched(fc_block=5)

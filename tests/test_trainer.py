@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sparsekit import (
     Granularity,
@@ -238,11 +241,10 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg = config(epochs=3, e_i=1, l_p=1)
     model, _ = train(build_model(cfg), cfg)
     path = tmp_path / "ckpt"
-    save_checkpoint(path, model, cfg, rng_state=model.final_rng_state, epoch=3)
+    save_checkpoint(path, model, cfg, epoch=3)
     loaded, loaded_cfg, sidecar = load_checkpoint(path)
     assert loaded_cfg == cfg
     assert sidecar["epoch"] == 3
-    assert sidecar["rng_state"] == model.final_rng_state
     for (n1, l1), (_, l2) in zip(model.prunable(), loaded.prunable()):
         np.testing.assert_array_equal(l1.weight, l2.weight)
         np.testing.assert_array_equal(l1.mask, l2.mask)
@@ -254,6 +256,47 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_config_dict_roundtrip():
     cfg = config(s_f=0.7, granularity=Granularity.COMBINED, max_non_zero=4)
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+valid_configs = st.builds(
+    TrainingConfig,
+    epochs=st.integers(1, 10_000),
+    batch_size=st.integers(1, 4096),
+    lr0=st.floats(1e-9, 1e3),
+    lr_drop_epochs=st.lists(st.integers(0, 10_000), max_size=4),
+    seed=st.integers(0, 2**63),
+    schedule=st.builds(
+        PruningSchedule,
+        s_f=st.floats(0.0, 1.0),
+        e_i=st.integers(0, 10_000),
+        l_p=st.integers(1, 10_000),
+        granularity=st.sampled_from(Granularity),
+        r=st.floats(1.0, 16.0),
+        max_non_zero=st.none() | st.integers(0, 255),
+        window_fraction=st.floats(0.0, 1.0),
+        fc_block=st.integers(1, 4),
+    ),
+    dataset=st.builds(
+        SyntheticSpec,
+        n_train=st.integers(1, 10**6),
+        n_val=st.integers(1, 10**6),
+        image_size=st.integers(2, 1024),
+        channels=st.integers(1, 64),
+        n_classes=st.integers(1, 1000),
+        seed=st.integers(0, 2**63),
+    ),
+    lr_drop_factor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    momentum=st.floats(0.0, 1.0, exclude_max=True),
+    weight_decay=st.floats(0.0, 1.0),
+    conv1_out=st.integers(1, 512),
+    conv2_out=st.integers(1, 512),
+    pool=st.integers(1, 16),
+)
+
+
+@given(valid_configs)
+def test_random_config_survives_json_roundtrip(cfg):
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_config_rejects_unknown_and_missing_fields():
