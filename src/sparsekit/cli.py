@@ -5,8 +5,9 @@ Commands:
 * ``run <config.json>``: execute the experiment, writing ``metrics.csv``,
   ``final_checkpoint`` (+ ``.json`` sidecar), ``summary.json``, and
   optionally ``robustness.csv`` and compressed layer files into the
-  output directory. Exit 0 on success, 2 on a malformed config, 3 if
-  training produces a non-finite loss.
+  output directory. Exit 0 on success, 2 on a malformed config or an
+  output directory that cannot be created, 3 if training produces a
+  non-finite loss.
 * ``compare <summary.json>...``: aligned table of runs with accuracy
   deltas against the first (baseline) entry.
 * ``inspect <checkpoint>``: per-layer sparsity profile of a checkpoint.
@@ -76,6 +77,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except ValueError as e:  # e.g. an integer literal past Python's digit limit
+        raise ConfigError(f"{path}: invalid JSON: {e}") from None
     fields = take_fields(raw, ExperimentConfig, "experiment")
     fields["training"] = config_from_dict(fields["training"])
     if fields.get("attack") is not None:
@@ -110,7 +113,11 @@ def run_experiment(config_path) -> int:
         return 2
 
     outdir = Path(os.environ.get(OUTPUT_DIR_ENV) or exp.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"cannot create output directory {outdir}: {e}", file=sys.stderr)
+        return 2
 
     try:
         model, rows = train(model, exp.training)

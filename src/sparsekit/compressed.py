@@ -26,6 +26,7 @@ back.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -69,6 +70,18 @@ def _check_dims(dims) -> None:
         )
 
 
+def _raise_first(*checks) -> None:
+    """Raise ``FormatError`` for the lowest kernel that a ``(bad, message)`` check flags.
+
+    ``bad`` is a boolean array over the kernels and ``message(i)`` the text
+    for kernel ``i``. At one kernel the first check listed wins.
+    """
+    flagged = [(int(np.argmax(bad)), n) for n, (bad, _) in enumerate(checks) if bad.any()]
+    if flagged:
+        i, n = min(flagged)
+        raise FormatError(checks[n][1](i))
+
+
 def compress_ck(w: np.ndarray, mask: np.ndarray) -> CKSparseLayer:
     """Pack the surviving kernels of a kernel-uniform mask."""
     w = as_conv_weight(w)
@@ -80,15 +93,21 @@ def compress_ck(w: np.ndarray, mask: np.ndarray) -> CKSparseLayer:
     if not uniform.all():
         bad = np.argwhere(~uniform)[0]
         raise FormatError(f"mask is not kernel-uniform at kernel (k={bad[0]}, c={bad[1]})")
-    kept = flat[:, :, 0] == 1.0
-    pairs = tuple(
-        (int(k), int(c)) for c in range(C) for k in range(K) if kept[k, c]
+    cs, ks = np.nonzero(flat[:, :, 0].T == 1.0)
+    pairs = tuple(zip(ks.tolist(), cs.tolist()))
+    return CKSparseLayer((K, C, R, S), pairs, w[ks, cs].ravel())
+
+
+def _check_ck_indices(dims, ks: np.ndarray, cs: np.ndarray) -> None:
+    """Every (k, c) in range and strictly ascending by (c, k)."""
+    K, C = dims[:2]
+    descending = np.zeros(len(ks), dtype=bool)
+    descending[1:] = (cs[1:] < cs[:-1]) | ((cs[1:] == cs[:-1]) & (ks[1:] <= ks[:-1]))
+    _raise_first(
+        (~((0 <= ks) & (ks < K) & (0 <= cs) & (cs < C)),
+         lambda i: f"kernel index (k={ks[i]}, c={cs[i]}) out of range for {dims}"),
+        (descending, lambda i: f"kernel indices not strictly ascending at (k={ks[i]}, c={cs[i]})"),
     )
-    if pairs:
-        payload = np.concatenate([w[k, c].ravel() for k, c in pairs])
-    else:
-        payload = np.empty(0)
-    return CKSparseLayer((K, C, R, S), pairs, payload)
 
 
 def decompress_ck(layer: CKSparseLayer) -> np.ndarray:
@@ -99,15 +118,13 @@ def decompress_ck(layer: CKSparseLayer) -> np.ndarray:
         raise FormatError(
             f"payload length {layer.payload.size} != {n} kernels * {R * S}"
         )
-    prev = None
+    try:
+        ks, cs = np.array(layer.surviving_kernels, dtype=np.int64).reshape(n, 2).T
+    except OverflowError:
+        raise FormatError(f"kernel index out of range for {layer.dims}") from None
+    _check_ck_indices(layer.dims, ks, cs)
     out = np.zeros((K, C, R, S))
-    for i, (k, c) in enumerate(layer.surviving_kernels):
-        if not (0 <= k < K and 0 <= c < C):
-            raise FormatError(f"kernel index (k={k}, c={c}) out of range for {layer.dims}")
-        if prev is not None and (c, k) <= prev:
-            raise FormatError(f"kernel indices not strictly ascending at (k={k}, c={c})")
-        prev = (c, k)
-        out[k, c] = layer.payload[i * R * S : (i + 1) * R * S].reshape(R, S)
+    out[ks, cs] = layer.payload.reshape(n, R, S)
     return out
 
 
@@ -121,44 +138,54 @@ def compress_window(w: np.ndarray, mask: np.ndarray, max_non_zero: int) -> Windo
         raise FormatError(f"kernel size {R * S} exceeds the format limit {SENTINEL}")
     if max_non_zero < 0:
         raise FormatError(f"max_non_zero must be >= 0, got {max_non_zero}")
-    flat_m = m.reshape(K * C, R * S)
-    flat_w = w.reshape(K * C, R * S)
-    counts = flat_m.sum(axis=1).astype(int)
+    live = m.reshape(K * C, R * S) == 1.0
+    counts = live.sum(axis=1)
     if counts.max(initial=0) > max_non_zero:
         raise FormatError(
             f"a kernel has {counts.max()} survivors, more than max_non_zero={max_non_zero}"
         )
+    # Survivors in row-major order; each kernel fills its slots from slot 0.
+    flat = np.flatnonzero(live)
+    rows, cols = np.divmod(flat, R * S)
+    slots = np.arange(len(flat)) - (np.cumsum(counts) - counts)[rows]
     positions = np.full((K * C, max_non_zero), SENTINEL, dtype=np.uint8)
     values = np.zeros((K * C, max_non_zero))
-    for i in range(K * C):
-        idx = np.flatnonzero(flat_m[i])
-        positions[i, : len(idx)] = idx
-        values[i, : len(idx)] = flat_w[i, idx]
+    positions[rows, slots] = cols
+    values[rows, slots] = w.reshape(-1)[flat]
     return WindowSparseLayer((K, C, R, S), max_non_zero, positions, values)
 
 
-def decompress_window(layer: WindowSparseLayer) -> np.ndarray:
+def _window_live_slots(layer: WindowSparseLayer) -> np.ndarray:
+    """Validate a window layer's slot arrays; return which slots are live."""
     _check_dims(layer.dims)
     K, C, R, S = layer.dims
     if R * S > SENTINEL:
         raise FormatError(f"kernel size {R * S} exceeds the format limit {SENTINEL}")
-    if layer.positions.shape != (K * C, layer.max_non_zero) or layer.values.shape != (
-        K * C,
-        layer.max_non_zero,
-    ):
+    shape = (K * C, layer.max_non_zero)
+    if layer.positions.shape != shape or layer.values.shape != shape:
         raise FormatError("slot array shapes do not match dims and max_non_zero")
+    pos = layer.positions.astype(np.int64)
+    live = pos != SENTINEL
+    if layer.max_non_zero == 0:
+        return live
+    # Largest live position in each slot so far: a live slot at or below the
+    # one before it breaks strict ascent among the live positions.
+    highest = np.maximum.accumulate(np.where(live, pos, -1), axis=1)
+    _raise_first(
+        ((live & (pos >= R * S)).any(axis=1), lambda i: f"kernel {i} has position >= {R * S}"),
+        ((live[:, 1:] & (pos[:, 1:] <= highest[:, :-1])).any(axis=1),
+         lambda i: f"kernel {i} positions not strictly ascending"),
+        ((live[:, 1:] & ~live[:, :-1]).any(axis=1),
+         lambda i: f"kernel {i} has a sentinel before a live slot"),
+    )
+    return live
+
+
+def decompress_window(layer: WindowSparseLayer) -> np.ndarray:
+    live = np.flatnonzero(_window_live_slots(layer))
+    K, C, R, S = layer.dims
     out = np.zeros((K * C, R * S))
-    for i in range(K * C):
-        pos = layer.positions[i]
-        live = pos != SENTINEL
-        if np.any(pos[live] >= R * S):
-            raise FormatError(f"kernel {i} has position >= {R * S}")
-        idx = pos[live].astype(int)
-        if np.any(np.diff(idx) <= 0):
-            raise FormatError(f"kernel {i} positions not strictly ascending")
-        if live.any() and not live[: int(live.sum())].all():
-            raise FormatError(f"kernel {i} has a sentinel before a live slot")
-        out[i, idx] = layer.values[i, live]
+    out[live // layer.max_non_zero, layer.positions.ravel()[live]] = layer.values.ravel()[live]
     return out.reshape(K, C, R, S)
 
 
@@ -166,18 +193,19 @@ def decompress_window(layer: WindowSparseLayer) -> np.ndarray:
 # On-disk serialization (little-endian, explicit u32 counts, f64 values)
 # ---------------------------------------------------------------------------
 
+# One WNSP slot on disk: a position byte, then the value, unpadded.
+_SLOT = np.dtype([("p", "u1"), ("v", "<f8")])
+
 
 def ck_to_bytes(layer: CKSparseLayer) -> bytes:
     K, C, R, S = layer.dims
-    parts = [
+    n = len(layer.surviving_kernels)
+    return b"".join([
         CK_MAGIC,
-        struct.pack("<5I", FORMAT_VERSION, K, C, R, S),
-        struct.pack("<I", len(layer.surviving_kernels)),
-    ]
-    for k, c in layer.surviving_kernels:
-        parts.append(struct.pack("<II", k, c))
-    parts.append(np.ascontiguousarray(layer.payload, dtype="<f8").tobytes())
-    return b"".join(parts)
+        struct.pack("<6I", FORMAT_VERSION, K, C, R, S, n),
+        struct.pack(f"<{2 * n}I", *itertools.chain.from_iterable(layer.surviving_kernels)),
+        np.ascontiguousarray(layer.payload, dtype="<f8").tobytes(),
+    ])
 
 
 def ck_from_bytes(buf: bytes) -> CKSparseLayer:
@@ -197,26 +225,19 @@ def ck_from_bytes(buf: bytes) -> CKSparseLayer:
     need = 24 + 8 * count + 8 * count * R * S
     if len(body) != need:
         raise FormatError(f"buffer length {len(body) + 4} != expected {need + 4}")
-    pairs = []
-    off = 24
-    for _ in range(count):
-        k, c = struct.unpack_from("<II", body, off)
-        pairs.append((k, c))
-        off += 8
-    payload = np.frombuffer(body, dtype="<f8", count=count * R * S, offset=off).astype(np.float64)
-    layer = CKSparseLayer((K, C, R, S), tuple(pairs), payload)
-    decompress_ck(layer)  # validates indices and ordering
-    return layer
+    kc = np.frombuffer(body, dtype="<u4", count=2 * count, offset=24).reshape(count, 2)
+    _check_ck_indices((K, C, R, S), kc[:, 0].astype(np.int64), kc[:, 1].astype(np.int64))
+    payload = np.frombuffer(body, dtype="<f8", count=count * R * S, offset=24 + 8 * count)
+    return CKSparseLayer((K, C, R, S), tuple(map(tuple, kc.tolist())), payload.astype(np.float64))
 
 
 def window_to_bytes(layer: WindowSparseLayer) -> bytes:
     K, C, R, S = layer.dims
-    parts = [WINDOW_MAGIC, struct.pack("<6I", FORMAT_VERSION, K, C, R, S, layer.max_non_zero)]
-    pos = layer.positions.ravel()
-    val = layer.values.ravel()
-    for p, v in zip(pos, val):
-        parts.append(struct.pack("<Bd", int(p), float(v)))
-    return b"".join(parts)
+    slots = np.empty(layer.positions.size, dtype=_SLOT)
+    slots["p"] = layer.positions.ravel()
+    slots["v"] = layer.values.ravel()
+    header = struct.pack("<6I", FORMAT_VERSION, K, C, R, S, layer.max_non_zero)
+    return WINDOW_MAGIC + header + slots.tobytes()
 
 
 def window_from_bytes(buf: bytes) -> WindowSparseLayer:
@@ -230,20 +251,11 @@ def window_from_bytes(buf: bytes) -> WindowSparseLayer:
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported version {version}")
     _check_dims((K, C, R, S))
-    slots = K * C * cap
-    if len(body) != 24 + 9 * slots:
-        raise FormatError(f"buffer length {len(body) + 4} != expected {28 + 9 * slots}")
-    positions = np.empty((K * C, cap), dtype=np.uint8) if cap else np.empty((K * C, 0), dtype=np.uint8)
-    values = np.zeros((K * C, cap))
-    off = 24
-    for i in range(K * C):
-        for j in range(cap):
-            p, v = struct.unpack_from("<Bd", body, off)
-            positions[i, j] = p
-            values[i, j] = v
-            off += 9
-    layer = WindowSparseLayer((K, C, R, S), cap, positions, values)
-    decompress_window(layer)  # validates positions
+    if len(body) != 24 + 9 * K * C * cap:
+        raise FormatError(f"buffer length {len(body) + 4} != expected {28 + 9 * K * C * cap}")
+    slots = np.frombuffer(body, dtype=_SLOT, count=K * C * cap, offset=24).reshape(K * C, cap)
+    layer = WindowSparseLayer((K, C, R, S), cap, slots["p"].copy(), slots["v"].astype(np.float64))
+    _window_live_slots(layer)
     return layer
 
 

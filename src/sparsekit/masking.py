@@ -60,6 +60,25 @@ def prune_count(locale_size: int, threshold: float, max_non_zero: int | None = N
     return min(max(count, 0), locale_size)
 
 
+def _prune_smallest(scores: np.ndarray, p: int) -> np.ndarray:
+    """0/1 mask that zeroes the ``p`` smallest entries of each row of ``scores``.
+
+    Ties are broken by lowest index. Exact O(n) selection: partition finds
+    each row's p-th smallest value, and every entry at or below it is
+    pruned unless the row has more ties at that value than its quota
+    leaves room for; then only the lowest-index ties are pruned.
+    """
+    if p == 0:
+        return np.ones(scores.shape)
+    pth = np.partition(scores, p - 1, axis=1)[:, p - 1 : p].copy()  # frees the partitioned copy
+    pruned = scores <= pth
+    if np.count_nonzero(pruned) > p * len(scores):
+        ties = scores == pth
+        room = p - (scores < pth).sum(axis=1, keepdims=True)
+        pruned &= ~ties | (ties.cumsum(axis=1) <= room)
+    return (~pruned).astype(np.float64)
+
+
 def window_mask(w: np.ndarray, threshold: float, max_non_zero: int | None = None) -> np.ndarray:
     """Prune the smallest-magnitude weights inside each (k, c) kernel.
 
@@ -69,26 +88,15 @@ def window_mask(w: np.ndarray, threshold: float, max_non_zero: int | None = None
     """
     w = as_conv_weight(w)
     K, C, R, S = w.shape
-    n = R * S
-    p = prune_count(n, threshold, max_non_zero)
-    if p == 0:
-        return np.ones_like(w)
-    flat = np.abs(w).reshape(K * C, n)
-    order = np.argsort(flat, axis=1, kind="stable")
-    mask = np.ones((K * C, n))
-    mask[np.arange(K * C)[:, None], order[:, :p]] = 0.0
-    return mask.reshape(K, C, R, S)
+    p = prune_count(R * S, threshold, max_non_zero)
+    return _prune_smallest(np.abs(w).reshape(K * C, R * S), p).reshape(w.shape)
 
 
 def _kernel_order(km: np.ndarray) -> np.ndarray:
     """Flat (k*C + c) kernel indices sorted ascending by (score, c, k)."""
     K, C = km.shape
-    kk, cc = np.meshgrid(np.arange(K), np.arange(C), indexing="ij")
-    return np.lexsort((kk.ravel(), cc.ravel(), km.ravel()))
-
-
-def _expand_kernel_mask(mask_kc: np.ndarray, R: int, S: int) -> np.ndarray:
-    return np.broadcast_to(mask_kc[:, :, None, None], (*mask_kc.shape, R, S)).astype(np.float64)
+    by_ck = np.argsort(km.T.ravel(), kind="stable")  # flat c*K + k, ties in (c, k) order
+    return by_ck % K * C + by_ck // K
 
 
 def ck_mask(w: np.ndarray, threshold: float, max_non_zero: int | None = None) -> np.ndarray:
@@ -108,23 +116,14 @@ def ck_mask(w: np.ndarray, threshold: float, max_non_zero: int | None = None) ->
     quota = prune_count(K * C, threshold)
 
     pruned = np.zeros(K * C, dtype=bool)
-    n_pruned = 0
     if max_non_zero is not None and max_non_zero < K:
-        required = K - max_non_zero
-        for c in range(C):
-            col = order[order % C == c][:required]
-            pruned[col] = True
-            n_pruned += required
-    if n_pruned < quota:
-        for idx in order:
-            if n_pruned >= quota:
-                break
-            if not pruned[idx]:
-                pruned[idx] = True
-                n_pruned += 1
+        # Rank of each kernel within its column, in the column's (score, k) order.
+        rank = np.argsort(np.argsort(km, axis=0, kind="stable"), axis=0)
+        pruned = (rank < K - max_non_zero).ravel()
+        order = order[~pruned[order]]
+    pruned[order[: max(quota - int(pruned.sum()), 0)]] = True
 
-    mask_kc = np.where(pruned.reshape(K, C), 0.0, 1.0)
-    return _expand_kernel_mask(mask_kc, R, S)
+    return np.broadcast_to(np.where(pruned.reshape(K, C, 1, 1), 0.0, 1.0), w.shape).copy()
 
 
 def combined_mask(
@@ -159,34 +158,28 @@ def combined_mask(
     km = kernel_max(w * wm)
     order = _kernel_order(km)
 
+    # Phase 2 prunes kernels in order until the layer reaches the target,
+    # skipping a column's last survivor. Only the last kernel of a column
+    # in that order (largest (score, k)) can be its last survivor, so
+    # phase 2 prunes a prefix of the order with those kernels left out.
     kept_per_kernel = wm.reshape(K * C, R * S).sum(axis=1).astype(int)
     zeros = total - int(kept_per_kernel.sum())
-    target = threshold * total
-
+    candidate = np.ones((K, C), dtype=bool)
+    candidate[K - 1 - km[::-1].argmax(axis=0), np.arange(C)] = False
+    order = order[candidate.ravel()[order]]
+    kept = kept_per_kernel[order]
+    zeros_before = zeros + kept.cumsum() - kept
     ck_kc = np.ones(K * C)
-    survivors = np.full(C, K, dtype=int)
-    for idx in order:
-        if zeros >= target - _TARGET_EPS:
-            break
-        c = idx % C
-        if survivors[c] <= 1:
-            continue
-        ck_kc[idx] = 0.0
-        survivors[c] -= 1
-        zeros += kept_per_kernel[idx]
+    ck_kc[order[zeros_before < threshold * total - _TARGET_EPS]] = 0.0
 
-    return wm * _expand_kernel_mask(ck_kc.reshape(K, C), R, S)
+    return wm * ck_kc.reshape(K, C, 1, 1)
 
 
 def fc_fine_mask(w: np.ndarray, threshold: float) -> np.ndarray:
     """Prune the smallest-magnitude weights across the whole FC matrix,
     then repair any column left without a survivor."""
     w = as_fc_weight(w)
-    p = prune_count(w.size, threshold)
-    mask = np.ones(w.size)
-    if p:
-        order = np.argsort(np.abs(w).ravel(), kind="stable")
-        mask[order[:p]] = 0.0
+    mask = _prune_smallest(np.abs(w).reshape(1, -1), prune_count(w.size, threshold))
     return ensure_column_coverage(mask.reshape(w.shape), w)
 
 
@@ -205,17 +198,12 @@ def fc_block_mask(w: np.ndarray, threshold: float, block: int) -> np.ndarray:
     tc = -(-cols // block)
 
     padded = np.zeros((tr * block, tc * block))
-    padded[:rows, :cols] = np.abs(w)
-    scores = padded.reshape(tr, block, tc, block).sum(axis=(1, 3))
-
-    p = prune_count(tr * tc, threshold)
-    mask = np.ones((rows, cols))
-    if p:
-        order = np.argsort(scores.ravel(), kind="stable")
-        for idx in order[:p]:
-            i, j = divmod(int(idx), tc)
-            mask[i * block : (i + 1) * block, j * block : (j + 1) * block] = 0.0
-    return ensure_column_coverage(mask, w)
+    np.abs(w, out=padded[:rows, :cols])
+    tiles = padded.reshape(tr, block, tc, block)
+    scores = tiles.sum(axis=(1, 3)).reshape(1, -1)
+    # The padded buffer is reused for the mask: each tile takes its 0/1.
+    tiles[...] = _prune_smallest(scores, prune_count(tr * tc, threshold)).reshape(tr, 1, tc, 1)
+    return ensure_column_coverage(padded[:rows, :cols], w)
 
 
 def conv_driven_fc_elimination(
@@ -240,8 +228,7 @@ def conv_driven_fc_elimination(
         )
     out = np.ones_like(fc)
     dead = np.all(m.reshape(K, -1) == 0.0, axis=1)
-    for k in np.flatnonzero(dead):
-        out[k * neurons_per_channel : (k + 1) * neurons_per_channel, :] = 0.0
+    out[np.repeat(dead, neurons_per_channel)] = 0.0
     return out
 
 

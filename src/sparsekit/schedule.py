@@ -62,7 +62,10 @@ class PruningSchedule:
         if self.r < 1:
             raise ConfigError(f"r must be >= 1, got {self.r}")
         if not isinstance(self.granularity, Granularity):
-            object.__setattr__(self, "granularity", Granularity(self.granularity))
+            try:
+                object.__setattr__(self, "granularity", Granularity(self.granularity))
+            except ValueError:
+                raise ConfigError(f"unknown granularity {self.granularity!r}") from None
         if self.max_non_zero is not None and self.max_non_zero < 0:
             raise ConfigError(f"max_non_zero must be >= 0, got {self.max_non_zero}")
         if not 0.0 <= self.window_fraction <= 1.0:

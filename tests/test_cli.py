@@ -165,6 +165,25 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, edits, field):
     assert not outdir.exists()
 
 
+def test_integer_literal_past_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for this.
+    path = tmp_path / "exp.json"
+    path.write_text('{"name": "x", "epochs": 1' + "0" * 5000 + "}")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
+def test_output_dir_under_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("SPARSEKIT_OUTPUT_DIR", str(blocker / "out"))
+    cfg = base_config(tmp_path / "unused", s_f=0.0, epochs=1)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot create output directory ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_3(tmp_path, capsys):
     cfg = base_config(tmp_path / "out", s_f=0.0, epochs=2)

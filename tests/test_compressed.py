@@ -1,5 +1,7 @@
+import hashlib
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +97,8 @@ def test_ck_rejects_out_of_range_and_unsorted_indices():
         )
     with pytest.raises(FormatError):
         decompress_ck(CKSparseLayer((2, 2, 3, 3), ((0, 0),), np.zeros(5)))
+    with pytest.raises(FormatError):
+        decompress_ck(CKSparseLayer((2, 2, 3, 3), ((2**70, 0),), payload))
 
 
 def test_ck_bytes_roundtrip():
@@ -297,6 +301,95 @@ def test_ck_parse_accepts_paper_shape_with_no_survivors():
     assert layer.surviving_kernels == ()
     out = decompress_ck(layer)
     assert out.shape == (512, 512, 3, 3) and not out.any()
+
+
+def assert_parses_small_and_fast(parse, buf):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        layer = parse(buf)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 64 * 2**20
+    return layer
+
+
+def test_window_parse_of_empty_header_inside_limit_is_bounded():
+    # 2730x2730x3x3 is just inside the limit: 7.45 M kernels with no slots.
+    # The dense tensor would be 536 MB; parsing must not build it.
+    layer = assert_parses_small_and_fast(window_from_bytes, window_header(2730, 2730, 3, 3, cap=0))
+    assert layer.dims == (2730, 2730, 3, 3) and layer.max_non_zero == 0
+    assert layer.positions.shape == layer.values.shape == (2730 * 2730, 0)
+
+
+def test_ck_parse_of_paper_shape_without_survivors_is_bounded():
+    # The dense 512x512x3x3 tensor would be 18.9 MB.
+    layer = assert_parses_small_and_fast(ck_from_bytes, ck_header(512, 512, 3, 3, count=0))
+    assert layer.surviving_kernels == () and layer.payload.size == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned on-disk bytes
+# ---------------------------------------------------------------------------
+
+
+def test_golden_bytes_of_a_fixed_layer():
+    w = np.random.default_rng(16).standard_normal((16, 16, 3, 3))
+    ck = ck_to_bytes(compress_ck(w, ck_mask(w, 0.5)))
+    wn = window_to_bytes(compress_window(w, window_mask(w, 0.5, max_non_zero=4), 4))
+    assert len(ck) == 10268
+    assert hashlib.sha256(ck).hexdigest() == (
+        "35abb3538c62f11a0777697ca8f7a1b54ce87cb9979ef51dfe4c859e02ee8996"
+    )
+    assert len(wn) == 9244
+    assert hashlib.sha256(wn).hexdigest() == (
+        "b3e840d3240a0194fed95e848861663cf2b54fd77cdfa775787dbabe4703bd7e"
+    )
+
+
+def test_hand_packed_layer_matches_writers_and_parsers():
+    w = np.array([1.5, -2.0, 0.25, 4.0, -0.5, 3.0, 8.0, -1.0]).reshape(2, 2, 1, 2)
+    ck = np.array([[1, 0], [1, 1]], dtype=float)[:, :, None, None] * np.ones((1, 1, 1, 2))
+    # Kernels ascending by (c, k): (0, 0), (1, 0), (1, 1).
+    ck_buf = (
+        b"CKSP" + struct.pack("<6I", 1, 2, 2, 1, 2, 3)
+        + struct.pack("<6I", 0, 0, 1, 0, 1, 1)
+        + struct.pack("<6d", 1.5, -2.0, -0.5, 3.0, 8.0, -1.0)
+    )
+    assert ck_to_bytes(compress_ck(w, ck)) == ck_buf
+    assert ck_from_bytes(ck_buf).surviving_kernels == ((0, 0), (1, 0), (1, 1))
+
+    wm = np.array([[[[0, 1]], [[1, 1]]], [[[0, 0]], [[1, 0]]]], dtype=float)
+    wn_buf = b"WNSP" + struct.pack("<6I", 1, 2, 2, 1, 2, 2) + b"".join(
+        struct.pack("<Bd", p, v)
+        for p, v in ((1, -2.0), (255, 0.0), (0, 0.25), (1, 4.0),
+                     (255, 0.0), (255, 0.0), (0, 8.0), (255, 0.0))
+    )
+    layer = compress_window(w, wm, 2)
+    assert window_to_bytes(layer) == wn_buf
+    back = window_from_bytes(wn_buf)
+    np.testing.assert_array_equal(back.positions, layer.positions)
+    np.testing.assert_array_equal(decompress_window(back), apply_mask(w, wm))
+
+
+def test_window_error_names_the_lowest_bad_kernel():
+    w = np.random.default_rng(13).standard_normal((3, 2, 3, 3))
+    buf = bytearray(window_to_bytes(compress_window(w, window_mask(w, 0.5, max_non_zero=4), 4)))
+
+    def set_position(kernel, slot, position):
+        buf[28 + 9 * (4 * kernel + slot)] = position
+
+    set_position(4, 0, 9)  # position past the 3x3 kernel
+    set_position(1, 1, buf[28 + 9 * 4])  # repeats slot 0: not strictly ascending
+    with pytest.raises(FormatError, match="^kernel 1 positions not strictly ascending$"):
+        window_from_bytes(bytes(buf))
+    set_position(1, 0, 255)  # kernel 1 now also has a sentinel before a live slot
+    set_position(1, 3, 9)
+    with pytest.raises(FormatError, match="^kernel 1 has position >= 9$"):
+        window_from_bytes(bytes(buf))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsekit import (
     ck_mask,
@@ -442,3 +443,38 @@ def test_threshold_compliance_within_granule():
         assert abs((1 - ck_mask(w, t).mean()) - t) <= 9 / w.size + 1e-12
         zero_frac = 1 - fc_fine_mask(fc, t).mean()
         assert abs(zero_frac - t) <= (1 + 30) / fc.size + 1e-12  # + coverage repairs
+
+
+@pytest.mark.filterwarnings("ignore::sparsekit.masking.CoverageWarning")
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_all_generators_match_oracles_under_ties_and_caps(data):
+    # Integer weights in {-2..2} with many exact zeros put ties at the
+    # selection boundary of every generator; caps and ragged FC tiles
+    # exercise the per-column and edge-tile paths.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    zero_share = data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="zero_share")
+
+    def tied(shape):
+        w = rng.integers(-2, 3, size=shape).astype(float)
+        w[rng.random(shape) < zero_share] = 0.0
+        return w
+
+    K, C = data.draw(st.integers(1, 16), label="K"), data.draw(st.integers(1, 16), label="C")
+    R, S = data.draw(st.sampled_from([(3, 3), (1, 1), (2, 3)]), label="R, S")
+    w = tied((K, C, R, S))
+    fraction = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    t = data.draw(fraction, label="threshold")
+    wf = data.draw(fraction, label="window_fraction")
+    cap = data.draw(st.none() | st.integers(0, max(K, R * S)), label="max_non_zero")
+    np.testing.assert_array_equal(window_mask(w, t, cap), window_mask_oracle(w, t, cap))
+    np.testing.assert_array_equal(ck_mask(w, t, cap), ck_mask_oracle(w, t, cap))
+    np.testing.assert_array_equal(
+        combined_mask(w, t, wf, cap), combined_mask_oracle(w, t, wf, cap)
+    )
+
+    fc = tied((data.draw(st.integers(1, 24), label="rows"),
+               data.draw(st.integers(1, 24), label="cols")))
+    block = data.draw(st.integers(1, 4), label="block")
+    np.testing.assert_array_equal(fc_fine_mask(fc, t), fc_fine_mask_oracle(fc, t))
+    np.testing.assert_array_equal(fc_block_mask(fc, t, block), fc_block_mask_oracle(fc, t, block))

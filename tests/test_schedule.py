@@ -97,6 +97,11 @@ def test_granularity_coerced_from_string():
     assert s.granularity is Granularity.WINDOW
 
 
+def test_unknown_granularity_is_a_config_error_naming_it():
+    with pytest.raises(ConfigError, match="'foo'"):
+        PruningSchedule(s_f=0.5, e_i=0, l_p=2, granularity="foo")
+
+
 def test_random_schedules_hit_endpoints_exactly():
     rng = np.random.default_rng(9)
     for _ in range(200):
