@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ToyModel, backward, forward
-from .trainer import Split
+from .trainer import Split, evaluate
 
 DEFAULT_EPSILONS = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 
@@ -61,15 +61,16 @@ def fgsm_perturb(
 
 def robustness_sweep(model: ToyModel, val: Split, spec: AttackSpec) -> list[tuple[float, float]]:
     """Top-1 accuracy on the attacked validation split at each epsilon."""
+    # the gradient sign is the same at every epsilon; unclamped at 1, fgsm_perturb moves by it
+    step = np.concatenate([np.sign(fgsm_perturb(model, xb, yb, 1.0, (-np.inf, np.inf)) - xb)
+                           for xb, yb in val.batches()])
+    adv = np.empty_like(step)
     results = []
-    n = len(val.y)
     for eps in spec.epsilons:
-        correct = 0
-        for xb, yb in val.batches():
-            adv = fgsm_perturb(model, xb, yb, eps, spec.clamp_range)
-            logits = forward(model, adv)
-            correct += int((logits.argmax(axis=1) == yb).sum())
-        results.append((eps, correct / n))
+        np.multiply(step, eps, out=adv)
+        adv += val.x
+        np.clip(adv, *spec.clamp_range, out=adv)
+        results.append((eps, evaluate(model, Split(adv, val.y))[0]))
     return results
 
 

@@ -6,8 +6,8 @@ Commands:
   ``final_checkpoint`` (+ ``.json`` sidecar), ``summary.json``, and
   optionally ``robustness.csv`` and compressed layer files into the
   output directory. Exit 0 on success, 2 on a malformed config or an
-  output directory that cannot be created, 3 if training produces a
-  non-finite loss.
+  output directory that cannot be created or written, 3 if training
+  produces a non-finite loss.
 * ``compare <summary.json>...``: aligned table of runs with accuracy
   deltas against the first (baseline) entry.
 * ``inspect <checkpoint>``: per-layer sparsity profile of a checkpoint.
@@ -125,32 +125,36 @@ def run_experiment(config_path) -> int:
         print(f"training aborted: {e}", file=sys.stderr)
         return 3
 
-    write_metrics_csv(outdir / "metrics.csv", rows)
-    save_checkpoint(outdir / "final_checkpoint", model, exp.training, epoch=exp.training.epochs)
+    try:
+        write_metrics_csv(outdir / "metrics.csv", rows)
+        save_checkpoint(outdir / "final_checkpoint", model, exp.training, epoch=exp.training.epochs)
 
-    if exp.attack is not None:
-        _, val = make_synthetic_dataset(exp.training.dataset)
-        sweep = robustness_sweep(model, val, exp.attack)
-        write_robustness_csv(outdir / "robustness.csv", sweep)
+        if exp.attack is not None:
+            _, val = make_synthetic_dataset(exp.training.dataset)
+            sweep = robustness_sweep(model, val, exp.attack)
+            write_robustness_csv(outdir / "robustness.csv", sweep)
 
-    compressed_files = []
-    if exp.emit_compressed:
-        compressed_files = _emit_compressed_layers(model, exp.training, outdir)
+        compressed_files = []
+        if exp.emit_compressed:
+            compressed_files = _emit_compressed_layers(model, exp.training, outdir)
 
-    conv_entries, fc_entries = model_mac_entries(model)
-    dense_macs, sparse_macs = multiply_count(conv_entries, fc_entries)
-    summary = {
-        "name": exp.name,
-        "final_top1": rows[-1].top1,
-        "final_sparsity": rows[-1].sparsity,
-        "dense_macs": dense_macs,
-        "sparse_macs": sparse_macs,
-        "epochs": exp.training.epochs,
-        "compressed_files": compressed_files,
-    }
-    with open(outdir / "summary.json", "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=1)
-        f.write("\n")
+        conv_entries, fc_entries = model_mac_entries(model)
+        dense_macs, sparse_macs = multiply_count(conv_entries, fc_entries)
+        summary = {
+            "name": exp.name,
+            "final_top1": rows[-1].top1,
+            "final_sparsity": rows[-1].sparsity,
+            "dense_macs": dense_macs,
+            "sparse_macs": sparse_macs,
+            "epochs": exp.training.epochs,
+            "compressed_files": compressed_files,
+        }
+        with open(outdir / "summary.json", "w") as f:
+            json.dump(summary, f, sort_keys=True, indent=1)
+            f.write("\n")
+    except OSError as e:
+        print(f"cannot write outputs to {outdir}: {e}", file=sys.stderr)
+        return 2
     print(f"{exp.name}: top1={rows[-1].top1:.4f} sparsity={rows[-1].sparsity:.4f} -> {outdir}")
     return 0
 

@@ -37,7 +37,6 @@ from .model import ToyModel, backward, cross_entropy, forward, sgd_step
 from .schedule import Granularity, Phase, PruningSchedule, phase_at, threshold_at
 from .tensor import load_tensors, measured_sparsity, save_tensors
 
-METRICS_HEADER = ["epoch", "top1", "loss", "sparsity", "lr", "phase"]
 EVAL_BATCH_SIZE = 256
 
 
@@ -105,6 +104,9 @@ class MetricsRow:
     sparsity: float
     lr: float
     phase: str
+
+
+METRICS_HEADER = [f.name for f in dataclasses.fields(MetricsRow)]
 
 
 class Split(NamedTuple):
@@ -285,7 +287,7 @@ def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
     with open(path, "w", newline="") as f:
         f.write(",".join(METRICS_HEADER) + "\n")
         for r in rows:
-            f.write(f"{r.epoch},{r.top1!r},{r.loss!r},{r.sparsity!r},{r.lr!r},{r.phase}\n")
+            f.write(",".join(str(getattr(r, name)) for name in METRICS_HEADER) + "\n")
 
 
 def read_metrics_csv(path) -> list[MetricsRow]:
@@ -294,17 +296,9 @@ def read_metrics_csv(path) -> list[MetricsRow]:
         reader = csv.DictReader(f)
         if reader.fieldnames != METRICS_HEADER:
             raise ConfigError(f"unexpected metrics header {reader.fieldnames} in {path}")
+        hints = typing.get_type_hints(MetricsRow)
         for rec in reader:
-            rows.append(
-                MetricsRow(
-                    epoch=int(rec["epoch"]),
-                    top1=float(rec["top1"]),
-                    loss=float(rec["loss"]),
-                    sparsity=float(rec["sparsity"]),
-                    lr=float(rec["lr"]),
-                    phase=rec["phase"],
-                )
-            )
+            rows.append(MetricsRow(**{name: hints[name](rec[name]) for name in METRICS_HEADER}))
     return rows
 
 

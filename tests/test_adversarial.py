@@ -1,6 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import sparsekit.adversarial
+import sparsekit.model
+import sparsekit.trainer
 from sparsekit import (
     AttackSpec,
     Granularity,
@@ -17,6 +22,7 @@ from sparsekit import (
 from sparsekit.adversarial import read_robustness_csv, write_robustness_csv
 from sparsekit.errors import ConfigError
 from sparsekit.model import cross_entropy
+from sparsekit.trainer import EVAL_BATCH_SIZE
 
 from oracles import finite_difference
 
@@ -138,3 +144,35 @@ def test_robustness_csv_roundtrip(tmp_path, trained):
     write_robustness_csv(path, sweep)
     assert path.read_text().splitlines()[0] == "epsilon,top1"
     assert read_robustness_csv(path) == sweep
+
+
+def test_sweep_equals_per_epsilon_attack_with_one_gradient_per_batch(trained, monkeypatch):
+    model, _, _ = trained
+    # a full batch and a ragged one
+    _, val = make_synthetic_dataset(SyntheticSpec(
+        n_train=1, n_val=EVAL_BATCH_SIZE + 44, image_size=8, channels=1, n_classes=4, seed=5))
+    # the clamp cuts into the data's [0, 1] range, so it moves the scores, and 1.0 saturates it
+    spec = AttackSpec(epsilons=(0.0, 0.05, 0.2, 1.0), clamp_range=(0.3, 0.7))
+    expected = []
+    for eps in spec.epsilons:
+        correct = 0
+        for start in range(0, len(val.y), EVAL_BATCH_SIZE):
+            xb, yb = val.x[start:start + EVAL_BATCH_SIZE], val.y[start:start + EVAL_BATCH_SIZE]
+            adv = fgsm_perturb(model, xb, yb, eps, spec.clamp_range)
+            correct += int((forward(model, adv).argmax(axis=1) == yb).sum())
+        expected.append((eps, correct / len(val.y)))
+
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (sparsekit.adversarial, sparsekit.trainer):
+        for fn in (sparsekit.model.forward, sparsekit.model.backward):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    assert robustness_sweep(model, val, spec) == expected
+    assert calls == {"backward": 2, "forward": 2 * (1 + len(spec.epsilons))}

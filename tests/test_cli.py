@@ -184,6 +184,16 @@ def test_output_dir_under_a_file_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("cannot create output directory ") and len(err.splitlines()) == 1
 
 
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    (outdir / "metrics.csv").mkdir(parents=True)
+    cfg = base_config(outdir, s_f=0.0, epochs=1)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write outputs to ") and len(err.splitlines()) == 1
+    assert "metrics.csv" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_3(tmp_path, capsys):
     cfg = base_config(tmp_path / "out", s_f=0.0, epochs=2)
