@@ -8,7 +8,8 @@ bytes depend on numpy's and the BLAS build's rounding, so the digest file
 records the numpy version and BLAS build it was computed on. The second
 part hashes every mask generator's output and the ``CKSP``/``WNSP`` bytes
 at ResNet-50 sizes (a 256x256x3x3 conv and the 2048x1000 FC); it uses no
-BLAS.
+BLAS. A third test runs the README config in two child processes, at one
+and at two OpenBLAS threads, and compares their output bytes.
 
 A change that alters output bytes on purpose rewrites the digests with
 
@@ -20,6 +21,7 @@ and says why in its change notes.
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -133,6 +135,24 @@ def test_training_outputs_match_pinned_digests(tmp_path, monkeypatch):
 
 def test_generator_and_codec_bytes_match_pinned_digests():
     _compare("generators", generator_digests())
+
+
+def test_blas_thread_count_does_not_change_output_bytes(tmp_path):
+    config = tmp_path / "ck.json"
+    config.write_text(json.dumps(readme_config("ck", None, tmp_path / "unused")))
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        env = {"SPARSEKIT_OUTPUT_DIR": str(outdir), "PATH": "/usr/bin:/bin",
+               "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "sparsekit.cli", "run", str(config)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(outdir)
+    one, two = outs
+    for name in ("metrics.csv", "final_checkpoint", "robustness.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 if __name__ == "__main__":

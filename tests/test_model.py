@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from sparsekit import ToyModel, backward, forward, sgd_step
+from sparsekit.adversarial import fgsm_perturb
 from sparsekit.errors import ShapeMismatchError
-from sparsekit.model import cross_entropy
+from sparsekit.model import ReLU, cross_entropy, softmax
 
 from oracles import finite_difference, forward_oracle
 
@@ -202,3 +205,137 @@ def test_sgd_step_noop_without_gradient_momentum_or_decay():
 def test_model_shape_chain_validated_at_build():
     with pytest.raises(Exception):
         ToyModel(channels=1, image_size=5, n_classes=3, pool=2, seed=0)
+
+
+def assert_same_bytes(actual, expected, what):
+    assert actual.shape == expected.shape, f"{what}: shape {actual.shape} != {expected.shape}"
+    assert actual.tobytes() == expected.tobytes(), f"{what}: bytes differ"
+
+
+def loss_gradient(logits, y):
+    d = softmax(logits)
+    d[np.arange(len(y)), y] -= 1.0
+    d /= len(y)
+    return d
+
+
+def zero_buffer_col2im(dout, conv):
+    """The conv input gradient as it was: every column summed into a zeroed buffer."""
+    K, C, R, S = conv.weight.shape
+    B, _, H, W = dout.shape
+    cols = np.tensordot(dout, conv.weight, axes=([1], [0]))
+    dxp = np.zeros((B, H + R - 1, W + S - 1, C))
+    for r in range(R):
+        for s in range(S):
+            dxp[:, r:r + H, s:s + W] += cols[..., r, s]
+    p = conv.pad
+    return dxp[:, p:dxp.shape[1] - p, p:dxp.shape[2] - p].transpose(0, 3, 1, 2)
+
+
+def replaced_formulas_pass(model, x, y):
+    """Layer outputs, input gradients and parameter gradients computed with
+    the formulas the activation path replaced: ``np.where`` ReLU,
+    reshape-``mean`` pooling and zero-buffer col2im. Runs on a copy."""
+    model = copy.deepcopy(model)
+    conv1, _, conv2, _, pool, flatten, fc = model.layers
+    p = model.pool
+    a1 = conv1.forward(x)
+    r1 = np.where(a1 > 0, a1, 0.0)
+    a2 = conv2.forward(r1)
+    r2 = np.where(a2 > 0, a2, 0.0)
+    B, K, H, W = r2.shape
+    pooled = r2.reshape(B, K, H // p, p, W // p, p).mean(axis=(3, 5))
+    flat = flatten.forward(pooled)
+    logits = fc.forward(flat)
+    dflat = fc.backward(loss_gradient(logits, y))
+    dpooled = flatten.backward(dflat)
+    dr2 = pool.backward(dpooled)
+    da2 = np.where(a2 > 0, dr2, 0.0)
+    conv2.backward_params(da2)
+    dr1 = zero_buffer_col2im(da2, conv2)
+    da1 = np.where(a1 > 0, dr1, 0.0)
+    conv1.backward_params(da1)
+    dx = zero_buffer_col2im(da1, conv1)
+    grads = {name: (layer.grad_w, layer.grad_b) for name, layer in model.prunable()}
+    return ([a1, r1, a2, r2, pooled, flat, logits],
+            [dflat, dpooled, dr2, da2, dr1, da1, dx], grads)
+
+
+def wide_case_with_exact_zeros(pool, batch, seed=21):
+    model = ToyModel(channels=3, image_size=16, n_classes=10,
+                     conv1_out=32, conv2_out=32, pool=pool, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, layer in model.prunable():
+        layer.mask = (rng.random(layer.mask.shape) > 0.5).astype(float)
+        layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
+        layer.bias[::2] = 0.0
+    model.apply_masks()  # pruned weights become signed zeros
+    model.conv1.weight[4] = 0.0  # zero weights and bias: exactly 0 everywhere
+    model.conv2.weight[6] = 0.0
+    model.conv2.weight[:, 5] = 0.0
+    x = rng.standard_normal((batch, 3, 16, 16))
+    x[:, :, ::3, ::5] = 0.0
+    x[:, 1, 7] = -0.0
+    return model, x, rng.integers(0, 10, size=batch)
+
+
+@pytest.mark.parametrize("pool", [2, 4])
+@pytest.mark.parametrize("batch", [32, 64])
+def test_layers_match_replaced_formulas_bit_for_bit(pool, batch):
+    model, x, y = wide_case_with_exact_zeros(pool, batch)
+    outs, input_grads, grads = replaced_formulas_pass(model, x, y)
+    h = x
+    for i, layer in enumerate(model.layers):
+        h = layer.forward(h)
+        assert_same_bytes(h, outs[i], f"forward of layer {i}")
+    d = loss_gradient(h, y)
+    for i, layer in enumerate(reversed(model.layers)):
+        d = layer.backward(d)
+        assert_same_bytes(d, input_grads[i], f"backward of layer {len(outs) - 1 - i}")
+    for name, layer in model.prunable():
+        assert_same_bytes(layer.grad_w, grads[name][0], f"{name} grad_w")
+        assert_same_bytes(layer.grad_b, grads[name][1], f"{name} grad_b")
+    assert_same_bytes(forward(model, x), outs[-1], "logits")
+    module_grads, dx = backward(model, x, y, return_input_grad=True)
+    assert_same_bytes(dx, input_grads[-1], "input gradient")
+    for name, (gw, gb) in module_grads.items():
+        assert_same_bytes(gw, grads[name][0], f"{name} grad_w")
+        assert_same_bytes(gb, grads[name][1], f"{name} grad_b")
+
+
+def test_relu_matches_where_on_signed_zeros_and_infinities():
+    x = np.array([-np.inf, -2.0, -5e-324, -0.0, 0.0, 5e-324, 3.0, np.inf])
+    dout = np.array([-1.0, -0.0, -0.0, -2.0, -0.0, 4.0, 0.0, -3.0])
+    relu = ReLU()
+    assert_same_bytes(relu.forward(x.copy()), np.where(x > 0, x, 0.0), "forward")
+    assert_same_bytes(relu.backward(dout), np.where(x > 0, dout, 0.0), "backward")
+
+
+def test_relu_forward_writes_into_its_input():
+    x = np.array([[-1.0, 2.0], [0.5, -0.0]])
+    out = ReLU().forward(x)
+    assert out is x
+    assert_same_bytes(x, np.array([[0.0, 2.0], [0.5, 0.0]]), "input after forward")
+
+
+def test_nan_pixel_reaches_the_logits():
+    model = small_model(seed=15)
+    x = np.random.default_rng(16).random((3, 1, 4, 4))
+    x[1, 0, 2, 2] = np.nan
+    logits = forward(model, x)
+    assert np.isnan(logits[1]).all()
+    assert np.isfinite(logits[[0, 2]]).all()
+
+
+def test_forward_and_attack_leave_the_callers_batch_alone():
+    model, x, y = multi_channel_case()
+    before = x.tobytes()
+    first = forward(model, x).copy()
+    assert x.tobytes() == before
+    assert_same_bytes(forward(model, x), first, "logits of a second forward")
+    fgsm_perturb(model, x, y, 0.1, (-np.inf, np.inf))
+    assert x.tobytes() == before
+    forward(model, x)
+    _, dx = backward(model, x, y, return_input_grad=True)
+    assert x.tobytes() == before
+    assert_matches_finite_differences(model, x, y, x, dx, "input")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import sparsekit.trainer
 from sparsekit import (
     Granularity,
     PruningSchedule,
@@ -186,6 +187,19 @@ def test_nan_loss_aborts_with_diagnostic():
     cfg = config(s_f=0.0, epochs=2)
     cfg = TrainingConfig(**{**config_to_dict_raw(cfg), "lr0": 1e18})
     with pytest.raises(TrainingDivergedError):
+        train(build_model(cfg), cfg)
+
+
+def test_nan_training_data_aborts(monkeypatch):
+    # ReLU does not zero a NaN pixel, so the very first batch gives a NaN loss
+    def with_a_nan_pixel(spec):
+        train_split, val_split = make_synthetic_dataset(spec)
+        train_split.x[:, 0, 3, 3] = np.nan
+        return train_split, val_split
+
+    monkeypatch.setattr(sparsekit.trainer, "make_synthetic_dataset", with_a_nan_pixel)
+    cfg = config(s_f=0.0, epochs=2)
+    with pytest.raises(TrainingDivergedError, match="epoch 0, batch 0$"):
         train(build_model(cfg), cfg)
 
 
