@@ -11,17 +11,15 @@ gradient are im2col GEMMs: a ``tensordot`` over the strided window view
 of the padded input contracts each output position's (C, R, S) patch.
 The input gradient is col2im: one GEMM maps the output gradient to
 per-position (C, R, S) columns, whose R*S shifted slices are summed into
-a padded buffer and cropped; a 1x1 conv's columns are the input gradient
-itself. ``backward`` computes the input gradient of the first layer only
-when ``return_input_grad`` asks for it.
+a padded buffer and cropped. ``backward`` computes the input gradient of
+the first layer only when ``return_input_grad`` asks for it.
 
 Activations live channels-last in memory behind ``(B, C, H, W)`` views:
-the conv GEMMs leave them so, and ReLU and pooling keep that layout
-rather than copy to NCHW. ReLU may overwrite the array it is handed (in
-the stack it is always a fresh conv output). On finite input every layer
-gives the same bytes as the plain NCHW formulas, ``np.where`` ReLU and
-``mean`` pooling; a NaN propagates through ReLU where ``np.where`` would
-zero it.
+the conv GEMMs leave them so, ReLU keeps that layout, and pooling's
+``mean`` reduces a reshaped view of it without a copy. ReLU may
+overwrite the array it is handed (in the stack it is always a fresh conv
+output). On finite input ReLU gives the same bytes as ``np.where``; a
+NaN propagates through it where ``np.where`` would zero it.
 """
 
 from __future__ import annotations
@@ -76,10 +74,6 @@ class Conv2d:
         # col2im: each output position's (C, R, S) column lands on the R*S
         # input pixels it read; summing shifted slices avoids unfolding dout.
         cols = np.tensordot(dout, self.weight, axes=([1], [0]))  # (B, H, W, C, R, S)
-        if R == S == 1:
-            dx = cols.reshape(B, H, W, C)
-            dx += 0.0  # -0.0 -> +0.0, as the zero buffer's add gives
-            return dx.transpose(0, 3, 1, 2)
         dxp = np.zeros((B, H + R - 1, W + S - 1, C))
         for r in range(R):
             for s in range(S):
@@ -91,10 +85,11 @@ class Conv2d:
 class ReLU:
     """``forward`` writes its result into the array it is handed and returns it.
 
-    Unlike ``np.where``, a NaN input stays NaN. ``backward`` also turns an
-    exact -0.0 gradient at an active unit into +0.0; in the stack every
-    gradient that reaches a ReLU comes from a BLAS product, which gives
-    +0.0 for an exact zero.
+    Unlike ``np.where``, a NaN input stays NaN. ``backward`` multiplies by
+    the 0/1 mask, so an infinite or NaN gradient at an inactive unit gives
+    NaN where ``np.where`` gives 0. It also turns an exact -0.0 gradient at
+    an active unit into +0.0; in the stack every gradient that reaches a
+    ReLU comes from a BLAS product, which gives +0.0 for an exact zero.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -123,10 +118,7 @@ class AvgPool2d:
         p = self.pool
         if H % p or W % p:
             raise ShapeMismatchError(f"pool {p} does not divide spatial dims ({H}, {W})")
-        # sum in the channels-last layout the conv left; same order, same bits as mean
-        out = x.transpose(0, 2, 3, 1).reshape(B, H // p, p, W // p, p, K).sum(axis=(2, 4))
-        out /= p * p
-        return out.transpose(0, 3, 1, 2)
+        return x.reshape(B, K, H // p, p, W // p, p).mean(axis=(3, 5))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         p = self.pool

@@ -234,8 +234,8 @@ def zero_buffer_col2im(dout, conv):
 
 def replaced_formulas_pass(model, x, y):
     """Layer outputs, input gradients and parameter gradients computed with
-    the formulas the activation path replaced: ``np.where`` ReLU,
-    reshape-``mean`` pooling and zero-buffer col2im. Runs on a copy."""
+    the plain formulas written out here: ``np.where`` ReLU, reshape-``mean``
+    pooling and zero-buffer col2im. Runs on a copy."""
     model = copy.deepcopy(model)
     conv1, _, conv2, _, pool, flatten, fc = model.layers
     p = model.pool
@@ -309,6 +309,15 @@ def test_relu_matches_where_on_signed_zeros_and_infinities():
     relu = ReLU()
     assert_same_bytes(relu.forward(x.copy()), np.where(x > 0, x, 0.0), "forward")
     assert_same_bytes(relu.backward(dout), np.where(x > 0, dout, 0.0), "backward")
+
+
+def test_relu_backward_gives_nan_for_a_non_finite_gradient_at_an_inactive_unit():
+    relu = ReLU()
+    relu.forward(np.array([-1.0, -1.0, 2.0, 2.0]))
+    with np.errstate(invalid="ignore"):  # inf * 0
+        g = relu.backward(np.array([np.inf, np.nan, np.inf, -np.inf]))
+    assert np.isnan(g[:2]).all()  # np.where would give 0.0
+    assert_same_bytes(g[2:], np.array([np.inf, -np.inf]), "active units")
 
 
 def test_relu_forward_writes_into_its_input():
