@@ -31,7 +31,7 @@ from .masking import (
     prune_count,
     window_mask,
 )
-from .model import ToyModel, backward, forward, sgd_step
+from .model import ToyModel, backward, forward, input_gradient, sgd_step
 from .schedule import Granularity, Phase, PruningSchedule, phase_at, threshold_at
 from .tensor import apply_mask, kernel_max, load_tensors, measured_sparsity, save_tensors
 from .trainer import (
@@ -75,6 +75,7 @@ __all__ = [
     "fc_fine_mask",
     "fgsm_perturb",
     "forward",
+    "input_gradient",
     "kernel_max",
     "load_tensors",
     "make_synthetic_dataset",

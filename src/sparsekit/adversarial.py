@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import ToyModel, backward, forward
+from .model import ToyModel, input_gradient
 from .trainer import Split, evaluate
 
 DEFAULT_EPSILONS = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
@@ -53,10 +53,8 @@ def fgsm_perturb(
     if epsilon < 0:
         raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
     x = np.asarray(batch, dtype=np.float64)
-    forward(model, x)
-    _, dx = backward(model, x, labels, return_input_grad=True)
     lo, hi = clamp_range
-    return np.clip(x + epsilon * np.sign(dx), lo, hi)
+    return np.clip(x + epsilon * np.sign(input_gradient(model, x, labels)), lo, hi)
 
 
 def robustness_sweep(model: ToyModel, val: Split, spec: AttackSpec) -> list[tuple[float, float]]:

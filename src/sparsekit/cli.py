@@ -87,19 +87,25 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def _emit_compressed_layers(model, config: TrainingConfig, outdir: Path) -> list[str]:
+    """Write each conv layer as CKSP, or as WNSP where CK cannot hold it.
+
+    Removes the layer's file in the other format, which an earlier run
+    into the same directory may have left.
+    """
     written = []
     for name, layer in (("conv1", model.conv1), ("conv2", model.conv2)):
         try:
             packed = compress_ck(layer.weight, layer.mask)
-            path = outdir / f"{name}.cksp"
+            path, stale = outdir / f"{name}.cksp", outdir / f"{name}.wnsp"
             path.write_bytes(ck_to_bytes(packed))
         except FormatError:
             cap = config.schedule.max_non_zero
             if cap is None:
                 K, C, R, S = layer.mask.shape
                 cap = int(layer.mask.reshape(K * C, R * S).sum(axis=1).max())
-            path = outdir / f"{name}.wnsp"
+            path, stale = outdir / f"{name}.wnsp", outdir / f"{name}.cksp"
             path.write_bytes(window_to_bytes(compress_window(layer.weight, layer.mask, cap)))
+        stale.unlink(missing_ok=True)
         written.append(path.name)
     return written
 

@@ -3,16 +3,17 @@
 The network is 3x3 conv -> ReLU -> 1x1 conv -> ReLU -> average pool ->
 flatten -> dense, all in float64 numpy. Every weighted layer carries a
 weight tensor, a bias vector (never pruned), a prune mask, and momentum
-buffers. Forward caches what backward needs; backward produces
-cross-entropy gradients with pruned positions already zeroed.
+buffers. ``backward`` and ``input_gradient`` each run ``forward`` on the
+batch they are given. A layer's ``forward`` keeps what its backward
+needs; its ``backward(dout)`` returns only the input gradient, and
+``backward_params(dout)`` sets the weight gradients.
 
 Convolutions run as BLAS matrix products. Forward and the weight
 gradient are im2col GEMMs: a ``tensordot`` over the strided window view
 of the padded input contracts each output position's (C, R, S) patch.
 The input gradient is col2im: one GEMM maps the output gradient to
 per-position (C, R, S) columns, whose R*S shifted slices are summed into
-a padded buffer and cropped. ``backward`` computes the input gradient of
-the first layer only when ``return_input_grad`` asks for it.
+a padded buffer and cropped.
 
 Activations live channels-last in memory behind ``(B, C, H, W)`` views:
 the conv GEMMs leave them so, ReLU keeps that layout, and pooling's
@@ -68,7 +69,8 @@ class Conv2d:
         self.grad_b = dout.sum(axis=(0, 2, 3))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        self.backward_params(dout)
+        """The input gradient. Drops the cached windows, as ``backward_params`` does."""
+        self._windows = None
         K, C, R, S = self.weight.shape
         B, _, H, W = dout.shape
         # col2im: each output position's (C, R, S) column lands on the R*S
@@ -151,9 +153,11 @@ class Dense:
         self._x = x
         return x @ self.weight + self.bias
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward_params(self, dout: np.ndarray) -> None:
         self.grad_w = (self._x.T @ dout) * self.mask
         self.grad_b = dout.sum(axis=0)
+
+    def backward(self, dout: np.ndarray) -> np.ndarray:
         return dout @ self.weight.T
 
 
@@ -213,32 +217,42 @@ def forward(model: ToyModel, batch: np.ndarray) -> np.ndarray:
         )
     for layer in model.layers:
         x = layer.forward(x)
-    model._logits = x
     return x
 
 
-def backward(model: ToyModel, batch: np.ndarray, labels: np.ndarray,
-             return_input_grad: bool = False):
-    """Mean cross-entropy gradients for the batch passed to the last forward.
-
-    Gradients at pruned positions are exactly zero. Returns a dict of
-    ``name -> (grad_w, grad_b)``; with ``return_input_grad`` also returns
-    the loss gradient w.r.t. the input batch.
-    """
+def _loss_gradient(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy with respect to the logits."""
     labels = np.asarray(labels)
     B = len(labels)
-    d = softmax(model._logits)
+    d = softmax(logits)
     d[np.arange(B), labels] -= 1.0
     d /= B
+    return d
+
+
+def backward(model: ToyModel, batch: np.ndarray, labels: np.ndarray):
+    """``(logits, grads)`` of the batch's mean cross-entropy.
+
+    ``grads`` maps each prunable layer's name to ``(grad_w, grad_b)``;
+    gradients at pruned positions are exactly zero.
+    """
+    logits = forward(model, batch)
+    d = _loss_gradient(logits, labels)
     first, *rest = model.layers
     for layer in reversed(rest):
+        if hasattr(layer, "backward_params"):
+            layer.backward_params(d)
         d = layer.backward(d)
-    if return_input_grad:
-        d = first.backward(d)
-    else:
-        first.backward_params(d)  # training never reads the input gradient
-    grads = {name: (layer.grad_w, layer.grad_b) for name, layer in model.prunable()}
-    return (grads, d) if return_input_grad else grads
+    first.backward_params(d)  # training never reads the input gradient
+    return logits, {name: (layer.grad_w, layer.grad_b) for name, layer in model.prunable()}
+
+
+def input_gradient(model: ToyModel, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the batch's mean cross-entropy w.r.t. the batch; no weight gradients."""
+    d = _loss_gradient(forward(model, batch), labels)
+    for layer in reversed(model.layers):
+        d = layer.backward(d)
+    return d
 
 
 def sgd_step(model: ToyModel, grads: dict, lr: float,

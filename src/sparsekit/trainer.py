@@ -171,9 +171,10 @@ def regenerate_masks(model: ToyModel, sched: PruningSchedule, threshold: float) 
     Conv layers use the schedule's granularity (1x1 layers always prune
     at kernel granularity since a 1x1 window is a single weight); the FC
     layer prunes fine under the conv granularities or with its own regime
-    under the FC granularities. Conv-zero-driven row elimination and
-    column-coverage repair run on the FC mask before the monotone fold,
-    and weights and momenta are re-masked afterwards.
+    under the FC granularities. Conv-zero-driven row elimination runs on
+    the FC mask before the monotone fold, and column-coverage repair
+    after it, among the bits the previous mask kept, so every FC column
+    keeps a bit. Weights and momenta are re-masked afterwards.
     """
     g = sched.granularity
     cap = sched.max_non_zero
@@ -195,9 +196,24 @@ def regenerate_masks(model: ToyModel, sched: PruningSchedule, threshold: float) 
     elim = conv_driven_fc_elimination(
         model.conv2.mask, model.fc.weight, model.neurons_per_channel
     )
-    candidate = ensure_column_coverage(raw * elim, model.fc.weight)
-    model.fc.mask = monotone_and(model.fc.mask, candidate)
+    model.fc.mask = _cover_columns(monotone_and(model.fc.mask, raw * elim),
+                                   model.fc.mask, model.fc.weight)
     model.apply_masks()
+
+
+def _cover_columns(mask: np.ndarray, prev: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Give each column that ``mask`` left empty one bit back from ``prev``.
+
+    Pruned weights are exactly 0, so a column's largest-magnitude weight
+    is a bit ``prev`` kept unless the whole column is 0; then the lowest
+    row ``prev`` kept returns instead of row 0.
+    """
+    m = ensure_column_coverage(mask, w)
+    vacuous = np.flatnonzero((m > prev).any(axis=0))
+    first = np.argmax(prev[:, vacuous], axis=0)
+    m[:, vacuous] = 0.0
+    m[first, vacuous] = prev[first, vacuous]
+    return m
 
 
 def _learning_rate(config: TrainingConfig, epoch: int) -> float:
@@ -221,12 +237,14 @@ def train(model: ToyModel, config: TrainingConfig,
           on_epoch_end=None) -> tuple[ToyModel, list[MetricsRow]]:
     """Run the sparse training protocol and return per-epoch metrics.
 
-    Per batch: forward, masked backward, momentum SGD step, then (inside
-    the pruning era) a mask re-evaluation at the epoch's threshold. At
-    the very end of the last era epoch one extra evaluation runs at the
-    final target so the frozen mask achieves it exactly; afterwards no
-    new pruning occurs. ``on_epoch_end(model, row)`` is called after each
-    epoch's metrics row is appended, before any end-of-era evaluation.
+    Per batch: one ``backward`` call (forward, then masked gradients), a
+    momentum SGD step, then (inside the pruning era) a mask re-evaluation
+    at the epoch's threshold. A non-finite loss raises
+    ``TrainingDivergedError`` before the step. At the very end of the last
+    era epoch one extra evaluation runs at the final target so the frozen
+    mask achieves it exactly; afterwards no new pruning occurs.
+    ``on_epoch_end(model, row)`` is called after each epoch's metrics row
+    is appended, before any end-of-era evaluation.
     """
     sched = config.schedule
     if sched.s_f > 0 and sched.e_i + sched.l_p > config.epochs:
@@ -248,13 +266,11 @@ def train(model: ToyModel, config: TrainingConfig,
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb, yb = train_split.x[idx], train_split.y[idx]
-            logits = forward(model, xb)
-            loss = cross_entropy(logits, yb)
-            if not np.isfinite(loss):
+            logits, grads = backward(model, xb, yb)
+            if not np.isfinite(cross_entropy(logits, yb)):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            grads = backward(model, xb, yb)
             sgd_step(model, grads, lr, config.momentum, config.weight_decay)
             if phase is Phase.PRUNING:
                 regenerate_masks(model, sched, threshold)
@@ -416,6 +432,9 @@ def load_checkpoint(path) -> tuple[ToyModel, TrainingConfig, dict]:
     """
     with open(str(path) + ".json") as f:
         sidecar = json.load(f)
+    if not isinstance(sidecar, dict):
+        raise FormatError(f"checkpoint sidecar {path}.json holds a JSON "
+                          f"{type(sidecar).__name__}, not an object")
     config = config_from_dict(sidecar["config"])
     model = build_model(config)
     arrays = load_tensors(path)

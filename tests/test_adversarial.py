@@ -15,6 +15,7 @@ from sparsekit import (
     build_model,
     fgsm_perturb,
     forward,
+    input_gradient,
     make_synthetic_dataset,
     robustness_sweep,
     train,
@@ -68,10 +69,7 @@ def test_perturbation_bounded_and_saturated(trained):
     adv = fgsm_perturb(model, x, val.y[:32], eps, clamp_range=(-10.0, 10.0))
     delta = adv - x
     assert np.abs(delta).max() <= eps + 1e-15
-    forward(model, x)
-    from sparsekit.model import backward
-
-    _, dx = backward(model, x, val.y[:32], return_input_grad=True)
+    dx = input_gradient(model, x, val.y[:32])
     moved = np.abs(delta[dx != 0.0])
     if moved.size:
         np.testing.assert_allclose(moved, eps, atol=1e-15)
@@ -87,10 +85,7 @@ def test_input_gradient_matches_finite_differences(trained):
     model, val, _ = trained
     x = val.x[:2].copy()
     y = val.y[:2]
-    forward(model, x)
-    from sparsekit.model import backward
-
-    _, dx = backward(model, x, y, return_input_grad=True)
+    dx = input_gradient(model, x, y)
     rng = np.random.default_rng(0)
     flat = x.reshape(-1)
     for i in rng.choice(flat.size, size=10, replace=False):
@@ -170,9 +165,10 @@ def test_sweep_equals_per_epsilon_attack_with_one_gradient_per_batch(trained, mo
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (sparsekit.adversarial, sparsekit.trainer):
-        for fn in (sparsekit.model.forward, sparsekit.model.backward):
+    originals = (sparsekit.model.forward, sparsekit.model.input_gradient)
+    for module in (sparsekit.model, sparsekit.adversarial, sparsekit.trainer):
+        for fn in originals:
             if getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counting(fn))
     assert robustness_sweep(model, val, spec) == expected
-    assert calls == {"backward": 2, "forward": 2 * (1 + len(spec.epsilons))}
+    assert calls == {"input_gradient": 2, "forward": 2 * (1 + len(spec.epsilons))}

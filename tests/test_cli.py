@@ -84,6 +84,19 @@ def test_sparse_run_full_pipeline(tmp_path):
     assert rows[-1].phase == "frozen"
 
 
+def test_rerun_in_another_format_leaves_only_the_listed_layer_files(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = base_config(outdir, epochs=7, emit=True)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    assert sorted(p.name for p in outdir.glob("conv*")) == ["conv1.cksp", "conv2.cksp"]
+    cfg["training"]["schedule"].update(granularity="window", max_non_zero=4)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    listed = json.loads((outdir / "summary.json").read_text())["compressed_files"]
+    assert sorted(listed) == ["conv1.wnsp", "conv2.cksp"]
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(
+        listed + ["final_checkpoint", "final_checkpoint.json", "metrics.csv", "summary.json"])
+
+
 def test_identical_invocations_are_byte_identical(tmp_path, monkeypatch):
     cfg = base_config(tmp_path / "a", epochs=7)
     path = write_config(tmp_path, cfg)
@@ -265,6 +278,12 @@ def _no_config(ckpt, sidecar):
     sidecar.write_text(json.dumps(meta))
 
 
+def _sidecar_holding(value):
+    def corrupt(ckpt, sidecar):
+        sidecar.write_text(json.dumps(value))
+    return corrupt
+
+
 def _set_first_entry(tensor, value, named=None):
     """Corrupter that overwrites one tensor's first entry; returns the tensor
     the diagnostic must name."""
@@ -283,9 +302,11 @@ def _set_first_entry(tensor, value, named=None):
      _set_first_entry("conv1.weight", np.nan),
      _set_first_entry("fc.mask", 0.5),
      _set_first_entry("conv2.mask", 0.0, named="conv2.weight"),
-     _set_first_entry("fc.vel_w", np.inf)],
+     _set_first_entry("fc.vel_w", np.inf),
+     _sidecar_holding([]), _sidecar_holding("x"), _sidecar_holding(3), _sidecar_holding(None)],
     ids=["truncated", "bad_magic", "tensor_order_mismatch", "no_config",
-         "nan_weight", "fractional_mask", "weight_under_zero_mask", "inf_velocity"])
+         "nan_weight", "fractional_mask", "weight_under_zero_mask", "inf_velocity",
+         "sidecar_list", "sidecar_string", "sidecar_number", "sidecar_null"])
 def test_inspect_corrupt_checkpoint_exits_2(tmp_path, capsys, corrupt):
     config = config_from_dict(base_config(tmp_path / "out")["training"])
     ckpt = tmp_path / "ckpt"

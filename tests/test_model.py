@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from sparsekit import ToyModel, backward, forward, sgd_step
+from sparsekit import ToyModel, backward, forward, input_gradient, sgd_step
 from sparsekit.adversarial import fgsm_perturb
 from sparsekit.errors import ShapeMismatchError
 from sparsekit.model import ReLU, cross_entropy, softmax
@@ -73,8 +73,7 @@ def test_backward_matches_finite_differences_every_layer():
         layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
     x = rng.standard_normal((4, 1, 4, 4)) * 0.5
     y = np.array([0, 1, 2, 0])
-    forward(model, x)
-    grads = backward(model, x, y)
+    _, grads = backward(model, x, y)
     for name, layer in model.prunable():
         gw, gb = grads[name]
         for arr, grad in ((layer.weight, gw), (layer.bias, gb)):
@@ -113,8 +112,7 @@ def test_multi_channel_forward_matches_reference_loops():
 
 def test_multi_channel_conv_weight_gradients_match_finite_differences():
     model, x, y = multi_channel_case()
-    forward(model, x)
-    grads = backward(model, x, y)
+    _, grads = backward(model, x, y)
     for name in ("conv1", "conv2"):
         layer = getattr(model, name)
         assert_matches_finite_differences(model, x, y, layer.weight, grads[name][0], name)
@@ -122,8 +120,7 @@ def test_multi_channel_conv_weight_gradients_match_finite_differences():
 
 def test_multi_channel_input_gradient_matches_finite_differences():
     model, x, y = multi_channel_case()
-    forward(model, x)
-    _, dx = backward(model, x, y, return_input_grad=True)
+    dx = input_gradient(model, x, y)
     assert_matches_finite_differences(model, x, y, x, dx, "input")
 
 
@@ -135,8 +132,7 @@ def test_backward_zeroes_gradients_at_pruned_positions():
     model.apply_masks()
     x = rng.standard_normal((3, 1, 4, 4))
     y = np.array([0, 1, 2])
-    forward(model, x)
-    grads = backward(model, x, y)
+    _, grads = backward(model, x, y)
     for name, layer in model.prunable():
         gw, _ = grads[name]
         np.testing.assert_array_equal(gw[layer.mask == 0.0], 0.0)
@@ -150,8 +146,7 @@ def test_backward_gradient_scales_with_sample_multiplicity():
     y1, y2 = np.array([1]), np.array([2])
 
     def grad_of(xb, yb):
-        forward(model, xb)
-        return backward(model, xb, yb)["fc"][0].copy()
+        return backward(model, xb, yb)[1]["fc"][0].copy()
 
     g1 = grad_of(x1, y1)
     g2 = grad_of(x2, y2)
@@ -163,10 +158,33 @@ def test_backward_input_gradient_available():
     model = small_model(seed=9)
     x = np.random.default_rng(10).standard_normal((2, 1, 4, 4))
     y = np.array([0, 1])
-    forward(model, x)
-    grads, dx = backward(model, x, y, return_input_grad=True)
+    logits, grads = backward(model, x, y)
+    dx = input_gradient(model, x, y)
     assert dx.shape == x.shape
+    assert logits.shape == (2, 3)
     assert set(grads) == {"conv1", "conv2", "fc"}
+
+
+def pass_bytes(logits, grads):
+    return logits.tobytes() + b"".join(g.tobytes() for pair in grads.values() for g in pair)
+
+
+def test_backward_reads_the_batch_it_is_given():
+    model, x, y = multi_channel_case()
+    fresh = pass_bytes(*backward(copy.deepcopy(model), x, y))
+    fresh_dx = input_gradient(copy.deepcopy(model), x, y).tobytes()
+    forward(model, x[::-1] + 1.0)  # a different batch through the same layers
+    assert pass_bytes(*backward(model, x, y)) == fresh
+    forward(model, x[::-1] + 1.0)
+    assert input_gradient(model, x, y).tobytes() == fresh_dx
+    assert not hasattr(model, "_logits")
+
+
+def test_backward_twice_in_a_row_gives_the_same_bytes():
+    model, x, y = multi_channel_case()
+    first = pass_bytes(*backward(model, x, y))
+    assert pass_bytes(*backward(model, x, y)) == first
+    assert input_gradient(model, x, y).tobytes() == input_gradient(model, x, y).tobytes()
 
 
 def test_sgd_step_hand_calculated_update():
@@ -247,7 +265,9 @@ def replaced_formulas_pass(model, x, y):
     pooled = r2.reshape(B, K, H // p, p, W // p, p).mean(axis=(3, 5))
     flat = flatten.forward(pooled)
     logits = fc.forward(flat)
-    dflat = fc.backward(loss_gradient(logits, y))
+    dlogits = loss_gradient(logits, y)
+    fc.backward_params(dlogits)
+    dflat = fc.backward(dlogits)
     dpooled = flatten.backward(dflat)
     dr2 = pool.backward(dpooled)
     da2 = np.where(a2 > 0, dr2, 0.0)
@@ -290,14 +310,17 @@ def test_layers_match_replaced_formulas_bit_for_bit(pool, batch):
         assert_same_bytes(h, outs[i], f"forward of layer {i}")
     d = loss_gradient(h, y)
     for i, layer in enumerate(reversed(model.layers)):
+        if hasattr(layer, "backward_params"):
+            layer.backward_params(d)
         d = layer.backward(d)
         assert_same_bytes(d, input_grads[i], f"backward of layer {len(outs) - 1 - i}")
     for name, layer in model.prunable():
         assert_same_bytes(layer.grad_w, grads[name][0], f"{name} grad_w")
         assert_same_bytes(layer.grad_b, grads[name][1], f"{name} grad_b")
     assert_same_bytes(forward(model, x), outs[-1], "logits")
-    module_grads, dx = backward(model, x, y, return_input_grad=True)
-    assert_same_bytes(dx, input_grads[-1], "input gradient")
+    assert_same_bytes(input_gradient(model, x, y), input_grads[-1], "input gradient")
+    logits, module_grads = backward(model, x, y)
+    assert_same_bytes(logits, outs[-1], "logits of backward")
     for name, (gw, gb) in module_grads.items():
         assert_same_bytes(gw, grads[name][0], f"{name} grad_w")
         assert_same_bytes(gb, grads[name][1], f"{name} grad_b")
@@ -344,7 +367,6 @@ def test_forward_and_attack_leave_the_callers_batch_alone():
     assert_same_bytes(forward(model, x), first, "logits of a second forward")
     fgsm_perturb(model, x, y, 0.1, (-np.inf, np.inf))
     assert x.tobytes() == before
-    forward(model, x)
-    _, dx = backward(model, x, y, return_input_grad=True)
+    dx = input_gradient(model, x, y)
     assert x.tobytes() == before
     assert_matches_finite_differences(model, x, y, x, dx, "input")

@@ -1,8 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import sparsekit.trainer
 from sparsekit import (
@@ -14,7 +16,10 @@ from sparsekit import (
     make_synthetic_dataset,
     train,
 )
+from sparsekit.cli import _emit_compressed_layers
+from sparsekit.compressed import ck_from_bytes, decompress_ck, decompress_window, window_from_bytes
 from sparsekit.errors import ConfigError, TrainingDivergedError
+from sparsekit.masking import CoverageWarning
 from sparsekit.schedule import threshold_at
 from sparsekit.trainer import (
     config_from_dict,
@@ -87,10 +92,9 @@ def test_scrambled_labels_sink_accuracy_to_chance():
         for start in range(0, n, cfg.batch_size):
             xb = scrambled.x[start : start + cfg.batch_size]
             yb = scrambled.y[start : start + cfg.batch_size]
-            from sparsekit import backward, forward, sgd_step
+            from sparsekit import backward, sgd_step
 
-            forward(model, xb)
-            sgd_step(model, backward(model, xb, yb), cfg.lr0)
+            sgd_step(model, backward(model, xb, yb)[1], cfg.lr0)
     top1, _ = evaluate(model, val_split)
     assert top1 <= 1 / SPEC.n_classes + 0.2
 
@@ -322,3 +326,101 @@ def test_config_rejects_unknown_and_missing_fields():
     del cfg_dict["epochs"]
     with pytest.raises(ConfigError, match="epochs"):
         config_from_dict(cfg_dict)
+
+
+# ---------------------------------------------------------------------------
+# protocol invariants on random tiny configs
+# ---------------------------------------------------------------------------
+
+# conv2 channel 0 dies at threshold 0.704 and elimination zeroes the FC rows
+# that held column 0's only kept bits; the fine mask's survivors in that
+# column are zero weights the previous mask had pruned
+EMPTIED_COLUMN = {
+    "epochs": 7, "batch_size": 24, "lr0": 0.05, "lr_drop_epochs": [], "seed": 28,
+    "conv1_out": 4, "conv2_out": 3, "pool": 2,
+    "schedule": {"s_f": 1.0, "e_i": 2, "l_p": 3, "granularity": "window"},
+    "dataset": {"n_train": 32, "n_val": 16, "image_size": 4, "channels": 1,
+                "n_classes": 3, "seed": 1},
+}
+
+
+def check_protocol_invariants(cfg, outdir):
+    """Train ``cfg``, checking the invariants training keeps after every epoch and at the end."""
+    masks = {}  # each layer's mask at the previous check
+    phases = []
+
+    def check(model, row=None):
+        frozen = row is not None and row.phase == "frozen" and phases[-1:] == ["frozen"]
+        for name, layer in model.prunable():
+            mask = layer.mask
+            assert ((mask == 0.0) | (mask == 1.0)).all(), f"{name} mask is not binary"
+            if name in masks:
+                assert (mask <= masks[name]).all(), f"{name} mask revived a bit"
+                assert not frozen or (mask == masks[name]).all(), f"{name} moved after the era"
+            for attr in ("weight", "vel_w"):
+                assert not getattr(layer, attr)[mask == 0.0].any(), f"{name}.{attr} under a 0"
+            masks[name] = mask.copy()
+        if row is not None:
+            phases.append(row.phase)
+        assert (model.fc.mask.sum(axis=0) > 0).all(), "an FC column lost its last kept bit"
+        written = _emit_compressed_layers(model, cfg, outdir)
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(written)
+        layers = dict(model.prunable())
+        for name in written:
+            data = (outdir / name).read_bytes()
+            if name.endswith(".cksp"):
+                dense = decompress_ck(ck_from_bytes(data))
+            else:
+                dense = decompress_window(window_from_bytes(data))
+            layer = layers[name.split(".")[0]]
+            np.testing.assert_array_equal(dense, layer.weight * layer.mask, err_msg=name)
+
+    model, _ = train(build_model(cfg), cfg, on_epoch_end=check)
+    check(model)
+
+
+def test_window_run_keeps_every_fc_column_covered(tmp_path):
+    check_protocol_invariants(config_from_dict(EMPTIED_COLUMN), tmp_path)
+
+
+def test_coverage_restores_the_lowest_kept_row_of_an_all_zero_column():
+    cfg = config(granularity=Granularity.FC_FINE)
+    model = build_model(cfg)
+    model.fc.weight[:, 0] = 0.0
+    model.fc.mask[:, 0] = 0.0
+    model.fc.mask[[3, 5], 0] = 1.0
+    with pytest.warns(CoverageWarning):  # the fine mask keeps row 0, which the fold drops
+        regenerate_masks(model, cfg.schedule, 0.9)
+    np.testing.assert_array_equal(np.flatnonzero(model.fc.mask[:, 0]), [3])
+
+
+@st.composite
+def tiny_configs(draw):
+    image_size = draw(st.integers(4, 8))
+    e_i, l_p = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    schedule = PruningSchedule(
+        s_f=draw(st.floats(0.0, 1.0)), e_i=e_i, l_p=l_p,
+        granularity=draw(st.sampled_from(Granularity)),
+        max_non_zero=draw(st.none() | st.integers(0, 9)),
+        window_fraction=draw(st.floats(0.0, 1.0)),
+        fc_block=draw(st.integers(1, 4)),
+    )
+    dataset = SyntheticSpec(
+        n_train=draw(st.integers(8, 32)), n_val=8, image_size=image_size,
+        channels=draw(st.integers(1, 2)), n_classes=draw(st.integers(2, 4)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return TrainingConfig(
+        epochs=e_i + l_p + draw(st.integers(0, 2)), batch_size=draw(st.integers(8, 24)),
+        lr0=0.05, lr_drop_epochs=[], seed=draw(st.integers(0, 1000)),
+        schedule=schedule, dataset=dataset,
+        conv1_out=draw(st.integers(1, 5)), conv2_out=draw(st.integers(1, 5)),
+        pool=draw(st.sampled_from([p for p in range(1, image_size + 1) if image_size % p == 0])),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_configs())
+def test_random_tiny_runs_keep_the_protocol_invariants(cfg):
+    with tempfile.TemporaryDirectory() as outdir:
+        check_protocol_invariants(cfg, Path(outdir))
